@@ -14,9 +14,9 @@
 #   5. incremental-residency smoke: fig31 at smoke scale — delta migrations
 #      must stay strictly below the full re-plan baseline, and edge pinning
 #      must silence the edge device after iteration 1 at full budget
-#   6. raw-speed smoke: fig32 at smoke scale — io_uring backend, staged
-#      shuffle and compressed update streams must each be result-invariant,
-#      with >= 2x fewer update-device bytes on compressed BFS
+#   6. raw-speed smoke: fig32 at smoke scale — staged shuffle and
+#      compressed update streams must each be result-invariant, with >= 2x
+#      fewer update-device bytes on compressed BFS
 #   7. async-spill smoke: fig28 at smoke scale — async update spill must
 #      match sync results exactly with identical update-file traffic
 #   8. telemetry smoke: a live --jobs run with --http-port=0, polled with
@@ -36,6 +36,9 @@
 #      values tagged exact/ratio/info) which scripts/bench_diff.py gates
 #      against the committed baselines in bench/baselines/
 #  13. docs: every intra-repo markdown link must resolve
+#  14. hint flags: every --flag the --explain doctor recommends (hint
+#      strings in src/obs/attribution.cc, advice table in
+#      docs/observability.md) must be listed by `xstream_cli --help`
 #
 # Usage: scripts/check.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -229,3 +232,7 @@ fi
 echo
 echo "== docs: markdown link check =="
 scripts/check_links.sh
+
+echo
+echo "== hint flags: the doctor recommends only existing flags =="
+scripts/check_hint_flags.sh "$BUILD_DIR/xstream_cli"

@@ -14,9 +14,13 @@
 // vertex states + worst-case update buffers); the out-of-core working
 // memory — the §3.4 stream buffers and the partition-count inequality —
 // stays under `streaming_budget_bytes`, exactly as in OutOfCoreConfig. At
-// budget 0 the engine reproduces the out-of-core engine's behavior
-// bit-for-bit; at a budget covering every partition, vertex and update
-// traffic never touch the devices and only edges stream.
+// budget 0 the engine reproduces the out-of-core engine bit-for-bit when
+// that engine runs with `allow_vertex_memory_opt = false`. Its default
+// keeps vertex states in RAM when they fit in half the budget, which turns
+// local-update absorption off: a default out-of-core run writes different
+// update-file bytes and can be faster or slower than hybrid at budget 0.
+// At a budget covering every partition, vertex and update traffic never
+// touch the devices and only edges stream.
 #ifndef XSTREAM_CORE_HYBRID_ENGINE_H_
 #define XSTREAM_CORE_HYBRID_ENGINE_H_
 

@@ -30,7 +30,8 @@
 // AppendResidentUpdates / ObserveRoutedUpdates) so the
 // shuffle/absorb/append machinery exists exactly once. With an empty pin
 // set every customization degenerates to the base behavior, so budget 0
-// reproduces the out-of-core engine exactly.
+// reproduces the DeviceStreamStore with file-resident vertex states
+// (`allow_vertex_memory_opt = false`, which this store forces) exactly.
 //
 // Residency is *incremental*: between iterations the store asks the
 // planner for a PlanDelta against the observed per-partition update volume

@@ -34,12 +34,10 @@ std::string PhaseHint(Phase ph, double share) {
     case Phase::kSpillWait:
       return "spill waits take " + pct +
              " of accounted time: raise --spill-depth, enable "
-             "--compress-updates, or move update files to a faster device "
-             "(--io-backend=uring)";
+             "--compress-updates, or move update files to a faster device";
     case Phase::kScanIo:
       return "edge-scan I/O takes " + pct +
-             " of accounted time: enable --pin-edges, raise --memory-budget, "
-             "or try --io-backend=uring";
+             " of accounted time: enable --pin-edges or raise --memory-budget";
     case Phase::kShuffle:
       return "shuffle/staging takes " + pct +
              " of accounted time: tune --stage-bytes toward the L2/LLC size";

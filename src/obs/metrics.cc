@@ -267,15 +267,6 @@ std::string MetricsRegistry::ToPrometheus() const {
   return out;
 }
 
-void MetricsRegistry::ForEachGauge(
-    const std::function<void(const std::string&, double)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // fn runs under the registry mutex: it must not create or look up metrics.
-  for (const auto& [name, g] : gauges_) {
-    fn(name, g->Value());
-  }
-}
-
 void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) {

@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -151,10 +150,6 @@ class MetricsRegistry {
   // `_bucket{le="2^i"}` series (bucket 0 -> le="1") up to the last
   // populated bound, then `le="+Inf"`, `_sum` and `_count`.
   std::string ToPrometheus() const;
-
-  // Visits every gauge as (name, value) — the /healthz device-liveness
-  // probe without exposing the map or its locking.
-  void ForEachGauge(const std::function<void(const std::string&, double)>& fn) const;
 
   // Zeroes every metric (tests and bench repetitions). Handles stay valid.
   void ResetAll();

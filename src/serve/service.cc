@@ -24,7 +24,7 @@ obs::HttpResponse JsonError(int status, const std::string& message,
   w.BeginObject();
   w.Field("error", std::string_view(message));
   w.EndObject();
-  obs::HttpResponse resp{status, "application/json", w.TakeString() + "\n"};
+  obs::HttpResponse resp{status, "application/json", w.TakeString() + "\n", {}};
   if (retry_after != nullptr) {
     resp.headers.emplace_back("Retry-After", retry_after);
   }
@@ -253,7 +253,7 @@ obs::HttpResponse GraphService::HandleJobs(const obs::HttpRequest& request) {
         w.EndObject();
       }
       w.EndArray();
-      return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+      return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
     }
     return JsonError(405, "use POST to submit or GET to list");
   }
@@ -287,7 +287,7 @@ obs::HttpResponse GraphService::HandleJobs(const obs::HttpRequest& request) {
     w.Field("id", id);
     w.Field("state", "cancelling");
     w.EndObject();
-    return obs::HttpResponse{202, "application/json", w.TakeString() + "\n"};
+    return obs::HttpResponse{202, "application/json", w.TakeString() + "\n", {}};
   }
   if (request.method != "GET") {
     return JsonError(405, "use GET (or DELETE on the job itself)");
@@ -368,7 +368,7 @@ obs::HttpResponse GraphService::SubmitJob(const obs::HttpRequest& request) {
   w.Field("tenant", std::string_view(tenant));
   w.Field("state", std::string_view(JobStateName(JobState::kQueued)));
   w.EndObject();
-  obs::HttpResponse resp{201, "application/json", w.TakeString() + "\n"};
+  obs::HttpResponse resp{201, "application/json", w.TakeString() + "\n", {}};
   resp.headers.emplace_back("Location", "/v1/jobs/" + std::to_string(id));
   return resp;
 }
@@ -392,7 +392,7 @@ obs::HttpResponse GraphService::JobStatus(const JobEntry& entry) const {
     w.Field("summary", std::string_view(entry.output->summary));
   }
   w.EndObject();
-  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
 }
 
 obs::HttpResponse GraphService::JobResult(const JobEntry& entry) const {
@@ -429,7 +429,7 @@ obs::HttpResponse GraphService::JobResult(const JobEntry& entry) const {
   }
   w.EndArray();
   w.EndObject();
-  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
 }
 
 obs::HttpResponse GraphService::ListGraphs() const {
@@ -445,7 +445,7 @@ obs::HttpResponse GraphService::ListGraphs() const {
     w.EndObject();
   }
   w.EndArray();
-  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
 }
 
 obs::HttpResponse GraphService::ListTenants() const {
@@ -468,7 +468,7 @@ obs::HttpResponse GraphService::ListTenants() const {
     }
   }
   w.EndArray();
-  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n"};
+  return obs::HttpResponse{200, "application/json", w.TakeString() + "\n", {}};
 }
 
 }  // namespace xstream::serve

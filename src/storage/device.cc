@@ -32,9 +32,6 @@ void StorageDevice::PublishStats() {
   publish("write_requests", s.write_requests);
   publish("seeks", s.seeks);
   g.gauge("busy_seconds").Set(s.busy_seconds);
-  PublishExtraStats(g);
 }
-
-void StorageDevice::PublishExtraStats(obs::MetricGroup&) {}
 
 }  // namespace xstream

@@ -7,7 +7,7 @@
 // for SSDs (§3.3).
 //
 // Implementations:
-//  * PosixDevice — real files in a directory (optionally O_DIRECT).
+//  * PosixDevice — real files in a directory.
 //  * SimDevice   — byte store with a virtual clock calibrated to the paper's
 //                  HDD/SSD measurements; reproduces sequential-vs-random and
 //                  device-scaling shapes deterministically on any host.
@@ -22,10 +22,6 @@
 #include <vector>
 
 namespace xstream {
-
-namespace obs {
-class MetricGroup;
-}  // namespace obs
 
 using FileId = int32_t;
 inline constexpr FileId kInvalidFile = -1;
@@ -98,12 +94,6 @@ class StorageDevice {
   // The dedicated I/O thread for this device (paper §3.3: "spawns one thread
   // for each disk"). Created lazily; shared by all streams on the device.
   IoExecutor& executor();
-
- protected:
-  // Backend-specific additions to PublishStats under the same
-  // "device.<name>." prefix — e.g. PosixDevice's direct_supported gauge.
-  // Default publishes nothing.
-  virtual void PublishExtraStats(obs::MetricGroup& group);
 
  private:
   std::string name_;

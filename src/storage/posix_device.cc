@@ -4,12 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdint>
 #include <cstring>
 #include <filesystem>
 
-#include "obs/metrics.h"
-#include "util/aligned.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -17,16 +14,16 @@ namespace xstream {
 
 namespace {
 
-bool IsAligned(uint64_t offset, size_t len, const void* ptr) {
-  return offset % kIoAlignment == 0 && len % kIoAlignment == 0 &&
-         reinterpret_cast<uintptr_t>(ptr) % kIoAlignment == 0;
-}
-
-void FullPread(int fd, void* buf, size_t len, uint64_t offset) {
+// `path` only names the file in the abort message. A pread that returns 0
+// means the file on disk is shorter than the size the device recorded for
+// it — something truncated it behind the device's back.
+void FullPread(int fd, void* buf, size_t len, uint64_t offset, const std::string& path) {
   auto* p = static_cast<char*>(buf);
   while (len > 0) {
     ssize_t n = ::pread(fd, p, len, static_cast<off_t>(offset));
-    XS_CHECK_GT(n, 0) << "pread failed: " << std::strerror(errno);
+    XS_CHECK_GE(n, 0) << "pread of " << path << " at offset " << offset
+                      << " failed: " << std::strerror(errno);
+    XS_CHECK_GT(n, 0) << "unexpected EOF reading " << path << " at offset " << offset;
     p += n;
     len -= static_cast<size_t>(n);
     offset += static_cast<uint64_t>(n);
@@ -46,25 +43,8 @@ void FullPwrite(int fd, const void* buf, size_t len, uint64_t offset) {
 
 }  // namespace
 
-void PosixDevice::RawRead(int fd, void* buf, size_t len, uint64_t offset) {
-  FullPread(fd, buf, len, offset);
-}
-
-void PosixDevice::RawWrite(int fd, const void* buf, size_t len, uint64_t offset) {
-  FullPwrite(fd, buf, len, offset);
-}
-
-void PosixDevice::PublishExtraStats(obs::MetricGroup& group) {
-  bool supported;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    supported = direct_supported_;
-  }
-  group.gauge("direct_supported").Set(supported ? 1.0 : 0.0);
-}
-
-PosixDevice::PosixDevice(std::string name, std::string root, bool try_direct)
-    : StorageDevice(std::move(name)), root_(std::move(root)), try_direct_(try_direct) {
+PosixDevice::PosixDevice(std::string name, std::string root)
+    : StorageDevice(std::move(name)), root_(std::move(root)) {
   XS_CHECK(std::filesystem::is_directory(root_)) << root_ << " is not a directory";
 }
 
@@ -72,9 +52,6 @@ PosixDevice::~PosixDevice() {
   for (auto& f : files_) {
     if (f.fd >= 0) {
       ::close(f.fd);
-    }
-    if (f.direct_fd >= 0) {
-      ::close(f.direct_fd);
     }
   }
 }
@@ -111,27 +88,11 @@ FileId PosixDevice::OpenInternal(const std::string& file, bool truncate) {
   int fd = ::open(path.c_str(), flags, 0644);
   XS_CHECK_GE(fd, 0) << "open(" << path << ") failed: " << std::strerror(errno);
 
-  int direct_fd = -1;
-  if (try_direct_) {
-    direct_fd = ::open(path.c_str(), O_RDWR | O_DIRECT);
-    if (direct_fd >= 0) {
-      direct_supported_ = true;
-    } else if (!direct_warned_) {
-      // tmpfs and overlayfs reject O_DIRECT; fall back loudly (once), so a
-      // benchmark run on the wrong filesystem doesn't silently measure the
-      // page cache. direct_supported in PublishStats records the outcome.
-      direct_warned_ = true;
-      XS_LOG(Warning) << "device " << name() << ": O_DIRECT open of " << path
-                      << " failed (" << std::strerror(errno)
-                      << "); falling back to buffered I/O";
-    }
-  }
-
   off_t size = ::lseek(fd, 0, SEEK_END);
   XS_CHECK_GE(size, 0) << std::strerror(errno);
 
   FileId id = static_cast<FileId>(files_.size());
-  files_.push_back(File{path, fd, direct_fd, static_cast<uint64_t>(size), true});
+  files_.push_back(File{path, fd, static_cast<uint64_t>(size), true});
   by_name_[file] = id;
   return id;
 }
@@ -167,15 +128,16 @@ uint64_t PosixDevice::FileSize(FileId f) const {
 
 void PosixDevice::Read(FileId f, uint64_t offset, std::span<std::byte> out) {
   int fd;
+  std::string path;
   {
     std::lock_guard<std::mutex> lock(mu_);
     File& file = GetFile(f);
     XS_CHECK_LE(offset + out.size(), file.size) << "read past EOF of " << file.path;
-    fd = (file.direct_fd >= 0 && IsAligned(offset, out.size(), out.data())) ? file.direct_fd
-                                                                            : file.fd;
+    fd = file.fd;
+    path = file.path;
   }
   WallTimer timer;
-  RawRead(fd, out.data(), out.size(), offset);
+  FullPread(fd, out.data(), out.size(), offset, path);
   double elapsed = timer.Seconds();
   std::lock_guard<std::mutex> lock(mu_);
   stats_.bytes_read += out.size();
@@ -188,12 +150,11 @@ void PosixDevice::Write(FileId f, uint64_t offset, std::span<const std::byte> da
   {
     std::lock_guard<std::mutex> lock(mu_);
     File& file = GetFile(f);
-    fd = (file.direct_fd >= 0 && IsAligned(offset, data.size(), data.data())) ? file.direct_fd
-                                                                              : file.fd;
+    fd = file.fd;
     file.size = std::max(file.size, offset + data.size());
   }
   WallTimer timer;
-  RawWrite(fd, data.data(), data.size(), offset);
+  FullPwrite(fd, data.data(), data.size(), offset);
   double elapsed = timer.Seconds();
   std::lock_guard<std::mutex> lock(mu_);
   stats_.bytes_written += data.size();
@@ -228,10 +189,6 @@ void PosixDevice::Remove(const std::string& file) {
     if (f.fd >= 0) {
       ::close(f.fd);
       f.fd = -1;
-    }
-    if (f.direct_fd >= 0) {
-      ::close(f.direct_fd);
-      f.direct_fd = -1;
     }
     f.live = false;
     by_name_.erase(it);

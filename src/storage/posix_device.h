@@ -1,10 +1,9 @@
 // PosixDevice: StorageDevice backed by real files in a directory.
 //
 // Used by tests (functional correctness against a real filesystem), by the
-// examples, and for on-host out-of-core runs. Supports optional O_DIRECT
-// (paper §3.3) with automatic fallback to buffered I/O for requests that are
-// not sector-aligned (the engine's bulk chunk traffic is aligned; only
-// per-partition tails fall back).
+// examples, and for on-host out-of-core runs. Every transfer is a buffered
+// pread/pwrite loop: the paper's large sequential I/O units (§3.4) are what
+// reach the device's streaming bandwidth, not the syscall that carries them.
 #ifndef XSTREAM_STORAGE_POSIX_DEVICE_H_
 #define XSTREAM_STORAGE_POSIX_DEVICE_H_
 
@@ -20,9 +19,7 @@ namespace xstream {
 class PosixDevice : public StorageDevice {
  public:
   // `root` must be an existing writable directory; files live directly in it.
-  // With try_direct=true, an O_DIRECT descriptor is opened alongside the
-  // buffered one and used for aligned requests when the filesystem allows.
-  PosixDevice(std::string name, std::string root, bool try_direct = false);
+  PosixDevice(std::string name, std::string root);
   ~PosixDevice() override;
 
   FileId Create(const std::string& file) override;
@@ -39,26 +36,11 @@ class PosixDevice : public StorageDevice {
   void ResetStats() override;
 
   const std::string& root() const { return root_; }
-  bool direct_io_active() const { return direct_supported_; }
-
- protected:
-  // Raw transfer seam: every Read/Write/Append lands here with the chosen
-  // descriptor (buffered or O_DIRECT) after size bookkeeping, outside the
-  // device mutex. The base implementation loops pread/pwrite until complete;
-  // UringDevice overrides these to push the same transfers through an
-  // io_uring submission queue.
-  virtual void RawRead(int fd, void* buf, size_t len, uint64_t offset);
-  virtual void RawWrite(int fd, const void* buf, size_t len, uint64_t offset);
-
-  // Publishes direct_supported (1 when an O_DIRECT descriptor ever opened)
-  // so --stats-json records which I/O path a run actually used.
-  void PublishExtraStats(obs::MetricGroup& group) override;
 
  private:
   struct File {
     std::string path;
-    int fd = -1;         // buffered descriptor
-    int direct_fd = -1;  // O_DIRECT descriptor or -1
+    int fd = -1;
     uint64_t size = 0;
     bool live = false;
   };
@@ -68,9 +50,6 @@ class PosixDevice : public StorageDevice {
   const File& GetFile(FileId f) const;
 
   std::string root_;
-  bool try_direct_;
-  bool direct_supported_ = false;
-  bool direct_warned_ = false;
 
   mutable std::mutex mu_;
   std::vector<File> files_;

@@ -104,24 +104,6 @@ TEST(PosixEngineTest, PageRankOnRealFiles) {
   }
 }
 
-TEST(PosixEngineTest, DirectIoFallsBackGracefully) {
-  // O_DIRECT may or may not be available on the test filesystem; either way
-  // the engine must produce correct results.
-  EdgeList edges = TestGraph(11);
-  GraphInfo info = ScanEdges(edges);
-  ScratchDir scratch("xs-engine");
-  PosixDevice dev("disk", scratch.path(), /*try_direct=*/true);
-  WriteEdgeFile(dev, "input", edges);
-
-  OutOfCoreConfig config;
-  config.threads = 2;
-  config.memory_budget_bytes = 1 << 20;
-  config.io_unit_bytes = 64 << 10;
-  OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
-  WccResult r = RunWcc(engine);
-  EXPECT_EQ(r.labels, ReferenceWcc(edges, info.num_vertices));
-}
-
 TEST(PosixEngineTest, SemiStreamingFromRealFile) {
   EdgeList edges = TestGraph(13);
   GraphInfo info = ScanEdges(edges);

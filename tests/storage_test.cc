@@ -300,6 +300,27 @@ TEST(PosixDeviceTest, RemoveDeletesFromDisk) {
   EXPECT_FALSE(dev.Exists("gone.bin"));
 }
 
+TEST(PosixDeviceTest, ReadPastEofAborts) {
+  ScratchDir scratch("xs-test");
+  PosixDevice dev("p", scratch.path());
+  FileId f = dev.Create("x");
+  dev.Write(f, 0, Pattern(10, 22));
+  std::vector<std::byte> out(20);
+  EXPECT_DEATH(dev.Read(f, 0, out), "read past EOF");
+}
+
+TEST(PosixDeviceTest, ReadOfFileTruncatedBehindTheDeviceAborts) {
+  // The device still records 100 bytes, so the read passes the size check
+  // and the short file surfaces as a pread that returns 0 at offset 40.
+  ScratchDir scratch("xs-test");
+  PosixDevice dev("p", scratch.path());
+  FileId f = dev.Create("short.bin");
+  dev.Write(f, 0, Pattern(100, 23));
+  std::filesystem::resize_file(scratch.path() + "/short.bin", 40);
+  std::vector<std::byte> out(100);
+  EXPECT_DEATH(dev.Read(f, 0, out), "unexpected EOF reading .*short\\.bin at offset 40");
+}
+
 TEST(ScratchDirTest, CleansUpOnDestruction) {
   std::string path;
   {
