@@ -41,7 +41,7 @@ OocOutcome OocWcc(const EdgeList& edges, int threads, bool vertex_opt, bool upda
   GraphInfo info = ScanEdges(edges);
   OutOfCoreConfig config;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   config.io_unit_bytes = io_unit;
   config.allow_vertex_memory_opt = vertex_opt;
   config.allow_update_memory_opt = update_opt;

@@ -144,7 +144,7 @@ struct MakeOoc {
     info.num_vertices = n;
     OutOfCoreConfig config;
     config.threads = threads;
-    config.memory_budget_bytes = budget;
+    config.streaming_budget_bytes = budget;
     config.io_unit_bytes = 256 << 10;  // scaled with the reduced graphs
     config.file_prefix = prefix;
     return std::make_unique<OutOfCoreEngine<Algo>>(config, *pair->raid, *pair->raid,

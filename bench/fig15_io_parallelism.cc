@@ -44,7 +44,7 @@ double RunOn(const std::string& mode, const DeviceProfile& profile, const EdgeLi
   info.num_vertices = n;
   OutOfCoreConfig config;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   config.io_unit_bytes = 256 << 10;
   OutOfCoreEngine<Algo> engine(config, *d.edges, *d.updates, *d.edges, "input", info);
   run(engine);

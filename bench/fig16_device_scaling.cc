@@ -29,7 +29,7 @@ double OnDevice(const DeviceProfile& profile, const EdgeList& edges, uint64_t n,
   info.num_vertices = n;
   OutOfCoreConfig config;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   config.io_unit_bytes = 256 << 10;
   OutOfCoreEngine<Algo> engine(config, *pair.raid, *pair.raid, *pair.raid, "input", info);
   run(engine);

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   WriteEdgeFile(*ssd.raid, "input", {});
   OutOfCoreConfig config;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   config.io_unit_bytes = 256 << 10;
   OutOfCoreEngine<WccAlgorithm> engine(config, *ssd.raid, *ssd.raid, *ssd.raid, "input", info);
 

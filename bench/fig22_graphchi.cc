@@ -36,7 +36,7 @@ double XStreamRun(const EdgeList& edges, uint64_t n, int threads, uint64_t budge
   info.num_vertices = n;
   OutOfCoreConfig config;
   config.threads = threads;
-  config.memory_budget_bytes = budget;
+  config.streaming_budget_bytes = budget;
   // The I/O unit scales down with the constrained budget (the §3.4
   // inequality needs 5*S*K to fit alongside a partition's vertex state).
   config.io_unit_bytes = 32 << 10;

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     pair.b->TakeTimeline();
     OutOfCoreConfig config;
     config.threads = threads;
-    config.memory_budget_bytes = budget;
+    config.streaming_budget_bytes = budget;
     config.io_unit_bytes = 256 << 10;
     // Disable the in-memory shortcut so update traffic reaches the device,
     // as it would at paper scale.

@@ -36,7 +36,7 @@ BenchResult RunOne(const std::string& name, const EdgeList& edges, const GraphIn
   WriteEdgeFile(dev, "input", edges);
   OutOfCoreConfig config;
   config.threads = threads;
-  config.memory_budget_bytes = 64ull << 20;  // only k matters: it is forced
+  config.streaming_budget_bytes = 64ull << 20;  // only k matters: it is forced
   config.io_unit_bytes = io_unit_bytes;
   config.num_partitions = partitions;
   config.allow_vertex_memory_opt = false;  // file-resident vertex states

@@ -244,13 +244,14 @@ ModeRun RunShared(const std::vector<JobSpec>& specs, const BenchSetup& s) {
   DeviceScanSource source(pool, layout, sopts, edge_dev, "fig30.input");
 
   JobScheduler scheduler(source);
-  DeviceJobConfig jcfg;
-  jcfg.io_unit_bytes = s.io_unit_bytes;
+  HybridStoreOptions jopts;
+  jopts.io_unit_bytes = s.io_unit_bytes;
   std::vector<std::shared_ptr<JobOutput>> outputs;
   for (size_t i = 0; i < specs.size(); ++i) {
     outputs.push_back(std::make_shared<JobOutput>());
-    scheduler.Submit(MakeDeviceJob(specs[i], source, update_dev, vertex_dev, jcfg,
-                                   "job" + std::to_string(i), outputs.back()));
+    jopts.file_prefix = "job" + std::to_string(i);
+    scheduler.Submit(MakeDeviceJob(specs[i], source, update_dev, vertex_dev, jopts,
+                                   /*hybrid=*/false, outputs.back()));
   }
   scheduler.RunAll();
 

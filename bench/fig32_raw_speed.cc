@@ -76,7 +76,7 @@ LegResult RunLeg(const BenchInput& in, const LegConfig& leg, MakeAlgo make_algo,
 
   OutOfCoreConfig config;
   config.threads = in.threads;
-  config.memory_budget_bytes = in.budget;
+  config.streaming_budget_bytes = in.budget;
   config.io_unit_bytes = in.io_unit_bytes;
   config.num_partitions = in.partitions;
   // Force the full device path: vertex files on disk, every update spilled.

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
 
   OutOfCoreConfig config;
   config.threads = static_cast<int>(opts.GetInt("threads", 0));
-  config.memory_budget_bytes = opts.GetUint("budget-mb", 16) << 20;
+  config.streaming_budget_bytes = opts.GetUint("budget-mb", 16) << 20;
   config.io_unit_bytes = 1 << 20;
   GraphInfo empty = info;  // vertex universe known up front
   empty.num_edges = 0;

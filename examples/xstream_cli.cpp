@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "algorithms/algorithms.h"
 #include "algorithms/kcores.h"
@@ -45,8 +46,9 @@
 namespace xstream {
 namespace {
 
-constexpr char kUsage[] = R"(xstream_cli — edge-centric graph processing
+constexpr char kUsageHead[] = R"(xstream_cli — edge-centric graph processing
 
+  --help                    print this text
   --algorithm=wcc|scc|bfs|sssp|pagerank|spmv|mis|mcst|conductance|bp|
               hyperanf|kcore                         (required)
   --input=<path>            text edge list, or packed binary if *.bin
@@ -66,38 +68,9 @@ constexpr char kUsage[] = R"(xstream_cli — edge-centric graph processing
   --engine=in-memory|out-of-core|hybrid   (default in-memory)
   --out-of-core             legacy alias for --engine=out-of-core
     --workdir=<dir>         scratch directory (default: a temp dir)
-    --budget-mb=N           out-of-core working budget, MB (default 256)
-    --io-unit-kb=N          I/O unit (default 1024)
-    --sync-spill            serialize update-spill writes (default: async,
-                            double-buffered on the device I/O thread)
-    --spill-depth=N         spill write-pipeline slots (default 2; raise for
-                            RAID update devices)
-    --stage-bytes=N         per-thread staging bytes for the cache-aware
-                            single-stage shuffle (default: auto, half the
-                            per-core cache; 0 = legacy fused counting
-                            shuffle)
-    --compress-updates      delta+varint compress spilled update streams
-                            (bit-identical results, fewer update-file bytes;
-                            ratio visible under store.codec.* in
-                            --stats-json)
-  --memory-budget=BYTES     hybrid engine: byte budget for pinning hot
-                            partitions in RAM (default: auto-detect, half of
-                            physical memory; 0 pins nothing); requests above
-                            physical memory are clamped with a warning
-    --no-replan             hybrid: freeze the pin set chosen at setup
-                            instead of re-planning between iterations
-    --residency-hysteresis=N  hybrid: iterations a partition must win/lose
-                            its pin before the incremental re-plan migrates
-                            it (default 2; 0 = legacy stop-the-world full
-                            re-plan between iterations)
-    --pin-edges             hybrid: cache pinned partitions' edge streams in
-                            RAM after their first scan, so fully resident
-                            partitions never touch the edge device (edge
-                            bytes are priced into --memory-budget)
-    --residency-decay=F     hybrid: EWMA decay in [0,1) for the residency
-                            planner's observed-update-volume signal
-                            (default 0 = react to the last iteration only)
-  --trace=FILE              write a Chrome trace-event JSON timeline of the
+)";
+
+constexpr char kUsageTail[] = R"(  --trace=FILE              write a Chrome trace-event JSON timeline of the
                             run's phase spans (open in Perfetto or
                             chrome://tracing); covers solo and --jobs runs;
                             also flushed on SIGINT/SIGTERM
@@ -136,6 +109,23 @@ constexpr char kUsage[] = R"(xstream_cli — edge-centric graph processing
                             --memory-budget is split across active jobs and
                             re-split as jobs come and go.
 )";
+
+// The device flags' defaults: a 256 MB streaming budget, cache-sized
+// shuffle staging and the hybrid engine's automatic pin budget; the rest are
+// the struct defaults.
+HybridStoreOptions CliDeviceDefaults() {
+  HybridStoreOptions defaults;
+  defaults.streaming_budget_bytes = 256ull << 20;
+  defaults.stage_bytes = DefaultShuffleStageBytes();
+  defaults.memory_budget_bytes = HybridStoreOptions::kAutoMemoryBudget;
+  return defaults;
+}
+
+const std::string& Usage() {
+  static const std::string text =
+      kUsageHead + DeviceFlagsUsage(CliDeviceDefaults()) + kUsageTail;
+  return text;
+}
 
 EdgeList LoadOrGenerate(const Options& opts) {
   if (opts.Has("input")) {
@@ -176,7 +166,7 @@ EdgeList LoadOrGenerate(const Options& opts) {
     uint32_t users = uint32_t{1} << scale;
     return GenerateBipartite(users, users / 10 + 1, static_cast<uint64_t>(users) * ef, seed);
   }
-  std::fprintf(stderr, "unknown --generate=%s\n%s", kind.c_str(), kUsage);
+  std::fprintf(stderr, "unknown --generate=%s\n%s", kind.c_str(), Usage().c_str());
   std::exit(2);
 }
 
@@ -366,7 +356,7 @@ std::unique_ptr<Partitioner> PartitionerFromFlags(const Options& opts) {
   }
   const auto& known = KnownPartitioners();
   if (std::find(known.begin(), known.end(), name) == known.end()) {
-    std::fprintf(stderr, "unknown --partitioner=%s\n%s", name.c_str(), kUsage);
+    std::fprintf(stderr, "unknown --partitioner=%s\n%s", name.c_str(), Usage().c_str());
     std::exit(2);
   }
   PartitionerOptions poptions;
@@ -397,13 +387,6 @@ std::string ResolveWorkdir(const Options& opts, std::unique_ptr<ScratchDir>& scr
   return workdir;
 }
 
-// --stage-bytes: explicit value wins; unset means the cache-probed auto
-// default (sizing.h). 0 keeps the legacy fused counting shuffle.
-size_t StageBytesFromFlags(const Options& opts) {
-  return opts.Has("stage-bytes") ? static_cast<size_t>(opts.GetUint("stage-bytes", 0))
-                                 : DefaultShuffleStageBytes();
-}
-
 // Dispatches `run` with a constructed engine of any of the three flavours.
 template <typename Algo, typename Run>
 void WithEngine(const Options& opts, const EdgeList& edges, uint64_t num_vertices, Run&& run) {
@@ -426,7 +409,7 @@ void WithEngine(const Options& opts, const EdgeList& edges, uint64_t num_vertice
     return;
   }
   if (engine_name != "out-of-core" && engine_name != "hybrid") {
-    std::fprintf(stderr, "unknown --engine=%s\n%s", engine_name.c_str(), kUsage);
+    std::fprintf(stderr, "unknown --engine=%s\n%s", engine_name.c_str(), Usage().c_str());
     std::exit(2);
   }
   std::unique_ptr<ScratchDir> scratch;
@@ -435,25 +418,13 @@ void WithEngine(const Options& opts, const EdgeList& edges, uint64_t num_vertice
   WriteEdgeFile(disk, "cli.input", edges);
   GraphInfo info = ScanEdges(edges);
   info.num_vertices = num_vertices;
+  HybridStoreOptions device = DeviceOptionsFromFlags(opts, CliDeviceDefaults());
   if (engine_name == "hybrid") {
     HybridConfig config;
+    static_cast<HybridStoreOptions&>(config) = device;
     config.threads = threads;
-    config.streaming_budget_bytes = opts.GetUint("budget-mb", 256) << 20;
-    config.io_unit_bytes = static_cast<size_t>(opts.GetUint("io-unit-kb", 1024)) << 10;
     config.num_partitions = partitions;
-    config.async_spill = !opts.GetBool("sync-spill", false);
-    config.spill_queue_depth = static_cast<int>(opts.GetInt("spill-depth", 2));
-    config.compress_updates = opts.GetBool("compress-updates", false);
-    config.stage_bytes = StageBytesFromFlags(opts);
-    config.replan_between_iterations = !opts.GetBool("no-replan", false);
-    config.residency_hysteresis =
-        static_cast<uint32_t>(opts.GetUint("residency-hysteresis", 2));
-    config.residency_decay = opts.GetDouble("residency-decay", 0.0);
-    config.pin_edges = opts.GetBool("pin-edges", false);
     config.partitioner = partitioner.get();
-    if (opts.Has("memory-budget")) {
-      config.memory_budget_bytes = opts.GetUint("memory-budget", 0);
-    }
     g_stats_device = &disk;
     HybridEngine<Algo> engine(config, disk, disk, disk, "cli.input", info);
     std::printf("engine: hybrid in %s, %u partitions (%s), pin budget %s, "
@@ -471,14 +442,9 @@ void WithEngine(const Options& opts, const EdgeList& edges, uint64_t num_vertice
     return;
   }
   OutOfCoreConfig config;
+  static_cast<DeviceStoreOptions&>(config) = device;
   config.threads = threads;
-  config.memory_budget_bytes = opts.GetUint("budget-mb", 256) << 20;
-  config.io_unit_bytes = static_cast<size_t>(opts.GetUint("io-unit-kb", 1024)) << 10;
   config.num_partitions = partitions;
-  config.async_spill = !opts.GetBool("sync-spill", false);
-  config.spill_queue_depth = static_cast<int>(opts.GetInt("spill-depth", 2));
-  config.compress_updates = opts.GetBool("compress-updates", false);
-  config.stage_bytes = StageBytesFromFlags(opts);
   config.partitioner = partitioner.get();
   g_stats_device = &disk;
   OutOfCoreEngine<Algo> engine(config, disk, disk, disk, "cli.input", info);
@@ -504,7 +470,7 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
       opts.GetString("engine", opts.GetBool("out-of-core", false) ? "out-of-core" : "in-memory");
 
   std::unique_ptr<Partitioner> partitioner = PartitionerFromFlags(opts);
-  size_t io_unit_bytes = static_cast<size_t>(opts.GetUint("io-unit-kb", 1024)) << 10;
+  HybridStoreOptions device = DeviceOptionsFromFlags(opts, CliDeviceDefaults());
   uint32_t k = static_cast<uint32_t>(opts.GetUint("partitions", 0));
   if (k == 0) {
     // One layout serves every job, so auto-sizing uses the largest vertex
@@ -513,8 +479,8 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
     // out-of-core path applies per algorithm.
     k = engine_name == "in-memory"
             ? 8
-            : ChooseOutOfCorePartitions(info.num_vertices * 16,
-                                        opts.GetUint("budget-mb", 256) << 20, io_unit_bytes);
+            : ChooseOutOfCorePartitions(info.num_vertices * 16, device.streaming_budget_bytes,
+                                        device.io_unit_bytes);
   }
   PartitionLayout layout;
   if (partitioner != nullptr) {
@@ -525,15 +491,14 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
     layout = PartitionLayout(info.num_vertices, k);
   }
 
+  // The scheduler owns the pin budget in batch mode: jobs start unpinned
+  // and receive their share at admission. Hybrid jobs default to the solo
+  // hybrid budget (half of physical memory) so they actually pin; other
+  // substrates get an admission budget only when --memory-budget asks.
   SchedulerOptions sched_opts;
-  if (opts.Has("memory-budget")) {
-    uint64_t requested = opts.GetUint("memory-budget", 0);
-    sched_opts.memory_budget_bytes = requested > 0 ? ResolveMemoryBudget(requested) : 0;
-  } else if (engine_name == "hybrid") {
-    // Mirror the solo hybrid default (half of physical memory) so hybrid
-    // batch jobs actually get pin budget instead of degenerating to the
-    // plain device path.
-    sched_opts.memory_budget_bytes = ResolveMemoryBudget(0);
+  uint64_t pin_budget = std::exchange(device.memory_budget_bytes, 0);
+  if (opts.Has("memory-budget") || engine_name == "hybrid") {
+    sched_opts.memory_budget_bytes = ResolvePinBudget(pin_budget);
   }
 
   // Declaration order doubles as teardown order: the scheduler (whose
@@ -562,7 +527,7 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
     disk = std::make_unique<PosixDevice>("disk", workdir);
     WriteEdgeFile(*disk, "cli.input", edges);
     DeviceScanSource::Options sopts;
-    sopts.io_unit_bytes = io_unit_bytes;
+    sopts.io_unit_bytes = device.io_unit_bytes;
     sopts.file_prefix = "scan";
     // Only hybrid job stores consume the residency-planner tallies.
     sopts.collect_dst_tallies = engine_name == "hybrid";
@@ -572,27 +537,15 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
                 partitioner ? partitioner->name() : "range",
                 engine_name == "hybrid" ? ", hybrid job stores" : "");
     scheduler = std::make_unique<JobScheduler>(*dev, sched_opts);
-    DeviceJobConfig jcfg;
-    jcfg.memory_budget_bytes = opts.GetUint("budget-mb", 256) << 20;
-    jcfg.io_unit_bytes = sopts.io_unit_bytes;
-    jcfg.async_spill = !opts.GetBool("sync-spill", false);
-    jcfg.spill_queue_depth = static_cast<int>(opts.GetInt("spill-depth", 2));
-    jcfg.compress_updates = opts.GetBool("compress-updates", false);
-    jcfg.stage_bytes = StageBytesFromFlags(opts);
-    jcfg.hybrid = engine_name == "hybrid";
-    jcfg.residency_hysteresis =
-        static_cast<uint32_t>(opts.GetUint("residency-hysteresis", 2));
-    jcfg.residency_decay = opts.GetDouble("residency-decay", 0.0);
-    jcfg.pin_edges = jcfg.hybrid && opts.GetBool("pin-edges", false);
     for (size_t i = 0; i < specs.size(); ++i) {
       outputs.push_back(std::make_shared<JobOutput>());
-      ids.push_back(scheduler->Submit(MakeDeviceJob(specs[i], *dev, *disk, *disk, jcfg,
-                                                    "job" + std::to_string(i),
-                                                    outputs.back())));
+      device.file_prefix = "job" + std::to_string(i);
+      ids.push_back(scheduler->Submit(MakeDeviceJob(specs[i], *dev, *disk, *disk, device,
+                                                    engine_name == "hybrid", outputs.back())));
     }
     source = std::move(dev);
   } else {
-    std::fprintf(stderr, "unknown --engine=%s\n%s", engine_name.c_str(), kUsage);
+    std::fprintf(stderr, "unknown --engine=%s\n%s", engine_name.c_str(), Usage().c_str());
     return 2;
   }
 
@@ -684,6 +637,7 @@ int RunJobBatch(const Options& opts, const EdgeList& edges, const GraphInfo& inf
 int main(int argc, char** argv) {
   using namespace xstream;
   Options opts(argc, argv);
+  opts.ExitOnUnknownFlags(Usage());
 
   // --trace: switch the tracer on before any engine work and flush the
   // Chrome trace on every exit path (solo, --jobs, and error returns) via a
@@ -772,7 +726,7 @@ int main(int argc, char** argv) {
   }
 
   if (opts.GetBool("help", false) || (!opts.Has("algorithm") && !opts.Has("jobs"))) {
-    std::fputs(kUsage, stdout);
+    std::fputs(Usage().c_str(), stdout);
     return opts.GetBool("help", false) ? 0 : 2;
   }
 
@@ -901,7 +855,7 @@ int main(int argc, char** argv) {
       PrintStats(opts, engine.stats());
     });
   } else {
-    std::fprintf(stderr, "unknown --algorithm=%s\n%s", algo.c_str(), kUsage);
+    std::fprintf(stderr, "unknown --algorithm=%s\n%s", algo.c_str(), Usage().c_str());
     return 2;
   }
   return 0;

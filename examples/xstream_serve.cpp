@@ -15,10 +15,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
+#include "core/sizing.h"
 #include "graph/generators.h"
 #include "graph/text_io.h"
 #include "obs/http_exporter.h"
@@ -31,6 +33,7 @@ namespace {
 
 constexpr char kUsage[] = R"(xstream-serve — multi-tenant graph query daemon
 
+  --help                    print this text
   --graphs=NAME=SOURCE[,NAME=SOURCE...]   graphs to mount (required)
       SOURCE = file:PATH   text edge list ("src dst [weight]" lines)
              | rmat:SCALE  RMAT graph, 2^SCALE vertices (edge factor 8)
@@ -44,7 +47,9 @@ constexpr char kUsage[] = R"(xstream-serve — multi-tenant graph query daemon
     --io-unit-kb=N          I/O unit (default 1024)
   --threads=N               compute pool size (0 = all cores)
   --partitions=N            per-graph partition count (0 = auto)
-  --memory-budget=BYTES     scheduler admission budget per graph (0 = off)
+  --memory-budget=BYTES     scheduler admission budget per graph, split
+                            across the active hybrid jobs (0 = off); above
+                            physical memory it is clamped with a warning
   --max-active-jobs=N       global concurrent-job ceiling per graph (0 = off)
   --max-body-kb=N           request body ceiling (default 1024; above = 413)
   --tenants=NAME:k=v[:k=v...][,NAME:...]  per-tenant quotas:
@@ -145,9 +150,10 @@ void OnShutdownSignal(int) { g_shutdown = 1; }
 
 int Main(int argc, char** argv) {
   Options opts(argc, argv);
+  opts.ExitOnUnknownFlags(kUsage);
   if (opts.GetBool("help", false) || !opts.Has("graphs")) {
     std::fputs(kUsage, stdout);
-    return opts.Has("graphs") ? 0 : 2;
+    return opts.GetBool("help", false) ? 0 : 2;
   }
 
   serve::ServiceOptions sopts;
@@ -155,10 +161,10 @@ int Main(int argc, char** argv) {
   sopts.workdir = opts.GetString("workdir", "");
   sopts.threads = static_cast<int>(opts.GetInt("threads", 0));
   sopts.partitions = static_cast<uint32_t>(opts.GetUint("partitions", 0));
-  sopts.io_unit_bytes = static_cast<size_t>(opts.GetUint("io-unit-kb", 1024)) << 10;
-  sopts.job_budget_bytes = opts.GetUint("budget-mb", 64) << 20;
+  sopts.device = DeviceOptionsFromFlags(opts, sopts.device);
+  sopts.scheduler.memory_budget_bytes =
+      ResolvePinBudget(std::exchange(sopts.device.memory_budget_bytes, 0));
   sopts.max_body_bytes = static_cast<size_t>(opts.GetUint("max-body-kb", 1024)) << 10;
-  sopts.scheduler.memory_budget_bytes = opts.GetUint("memory-budget", 0);
   sopts.scheduler.max_active_jobs =
       static_cast<uint32_t>(opts.GetUint("max-active-jobs", 0));
   sopts.scheduler.default_quota.weight = opts.GetDouble("default-weight", 1.0);

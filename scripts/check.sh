@@ -39,6 +39,11 @@
 #  14. hint flags: every --flag the --explain doctor recommends (hint
 #      strings in src/obs/attribution.cc, advice table in
 #      docs/observability.md) must be listed by `xstream_cli --help`
+#  15. flag errors: xstream_cli and xstream-serve must exit 2 with
+#      "unknown flag --X" on a mistyped flag and on the retired
+#      --residency-decay, and must abort naming the flag on a malformed
+#      number (--budget-mb=64MB); xstream-serve must also reject
+#      --pin-edges, a device flag only xstream_cli takes
 #
 # Usage: scripts/check.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -236,3 +241,31 @@ scripts/check_links.sh
 echo
 echo "== hint flags: the doctor recommends only existing flags =="
 scripts/check_hint_flags.sh "$BUILD_DIR/xstream_cli"
+
+echo
+echo "== flag errors: unknown, retired and malformed flags fail loudly =="
+# expect_flag_error STATUS MESSAGE COMMAND...: COMMAND must exit with STATUS
+# ("abort" = killed by SIGABRT) and print MESSAGE on stderr.
+expect_flag_error() {
+  local want="$1" msg="$2" out rc=0
+  shift 2
+  out="$(ulimit -c 0; "$@" 2>&1 >/dev/null)" || rc=$?
+  [[ "$want" != "abort" ]] || want=134
+  if [[ "$rc" -ne "$want" ]] || ! grep -qF -- "$msg" <<<"$out"; then
+    echo "error: '$*' exited $rc (want $want) with: $out" >&2
+    exit 1
+  fi
+}
+CLI="./$BUILD_DIR/xstream_cli"
+SERVE="./$BUILD_DIR/xstream-serve"
+expect_flag_error 2 "unknown flag --no-such-flag" "$CLI" --algorithm=wcc --no-such-flag=1
+expect_flag_error 2 "unknown flag --residency-decay" \
+  "$CLI" --algorithm=wcc --engine=hybrid --residency-decay=0.5
+expect_flag_error abort "flag --budget-mb: '64MB'" \
+  "$CLI" --algorithm=wcc --generate=rmat --scale=6 --engine=out-of-core --budget-mb=64MB
+expect_flag_error 2 "unknown flag --no-such-flag" "$SERVE" --graphs=g=rmat:6 --no-such-flag
+expect_flag_error 2 "unknown flag --residency-decay" \
+  "$SERVE" --graphs=g=rmat:6 --residency-decay=0.5
+expect_flag_error 2 "unknown flag --pin-edges" "$SERVE" --graphs=g=rmat:6 --pin-edges
+expect_flag_error abort "flag --budget-mb: '64MB'" "$SERVE" --graphs=g=rmat:6 --budget-mb=64MB
+echo "flag errors ok"

@@ -45,47 +45,22 @@
 
 namespace xstream {
 
-struct HybridConfig {
-  // Sentinel: auto-detect the pin budget from the host (half of physical
-  // memory) via ResolveMemoryBudget. An explicit 0 pins nothing.
-  static constexpr uint64_t kAutoMemoryBudget = UINT64_MAX;
+// The hybrid store's knobs (core/sizing.h) plus what the engine itself uses.
+// memory_budget_bytes is the pin budget and streaming_budget_bytes the §3.4
+// budget; kAutoMemoryBudget (the engine's default) pins up to half of
+// physical memory.
+struct HybridConfig : HybridStoreOptions {
+  HybridConfig() { memory_budget_bytes = kAutoMemoryBudget; }
 
-  int threads = 0;  // 0 = all cores
-  // Residency pin budget (the --memory-budget flag). kAutoMemoryBudget =
-  // auto-detect; any other value is clamped to physical memory with a
-  // warning (sizing.h).
-  uint64_t memory_budget_bytes = kAutoMemoryBudget;
-  // The §3.4 out-of-core working budget: stream buffers + the partition
-  // count inequality, independent of the pin budget.
-  uint64_t streaming_budget_bytes = 64ull << 20;
-  size_t io_unit_bytes = 1 << 20;
+  int threads = 0;              // 0 = all cores
   uint32_t num_partitions = 0;  // 0 = auto from §3.4
-  bool allow_update_memory_opt = true;
-  bool eager_update_truncate = true;
-  bool absorb_local_updates = true;
-  bool async_spill = true;
-  int spill_queue_depth = 2;  // rotating spill write buffers (>= 2)
-  // Delta+varint compression of spilled update streams (--compress-updates);
-  // pinned partitions' RAM-resident updates are unaffected.
-  bool compress_updates = false;
-  // Per-thread staging for the single-stage shuffles (--stage-bytes); 0 =
-  // legacy fused counting shuffle.
-  size_t stage_bytes = 0;
-  bool replan_between_iterations = true;
-  // Iterations a partition must win/lose its place in the target pin set
-  // before the incremental re-plan migrates it (CLI --residency-hysteresis).
-  // 0 = legacy stop-the-world full re-plan between iterations.
-  uint32_t residency_hysteresis = 2;
-  // EWMA decay for the observed-update-volume re-plan signal (CLI
-  // --residency-decay); 0 = last iteration only (legacy).
-  double residency_decay = 0.0;
-  // Cache pinned partitions' edge streams in RAM after their first scan
-  // (CLI --pin-edges): a fully resident partition stops touching the edge
-  // device entirely. Edge bytes are priced into the pin budget.
-  bool pin_edges = false;
-  bool keep_iteration_log = true;
   Partitioner* partitioner = nullptr;  // not owned; must outlive the engine
-  std::string file_prefix = "xs";
+  bool keep_iteration_log = true;
+
+ private:
+  // Residency is the planner's call: the hybrid store keeps vertex states
+  // in files and pins them per partition, so it never reads this knob.
+  using DeviceStoreOptions::allow_vertex_memory_opt;
 };
 
 template <EdgeCentricAlgorithm Algo>
@@ -118,29 +93,7 @@ class HybridEngine {
       layout = PartitionLayout(num_vertices_, k);
     }
 
-    typename Store::Options opts;
-    opts.memory_budget_bytes = config.streaming_budget_bytes;
-    opts.io_unit_bytes = config.io_unit_bytes;
-    opts.allow_update_memory_opt = config.allow_update_memory_opt;
-    opts.eager_update_truncate = config.eager_update_truncate;
-    opts.absorb_local_updates = config.absorb_local_updates;
-    opts.async_spill = config.async_spill;
-    opts.spill_queue_depth = config.spill_queue_depth;
-    opts.compress_updates = config.compress_updates;
-    opts.stage_bytes = config.stage_bytes;
-    opts.file_prefix = config.file_prefix;
-    opts.replan_between_iterations = config.replan_between_iterations;
-    opts.residency_hysteresis = config.residency_hysteresis;
-    opts.residency_decay = config.residency_decay;
-    opts.pin_edges = config.pin_edges;
-    uint64_t budget = config.memory_budget_bytes;
-    if (budget == HybridConfig::kAutoMemoryBudget) {
-      budget = ResolveMemoryBudget(0);
-    } else if (budget > 0) {
-      budget = ResolveMemoryBudget(budget);
-    }
-    opts.pin_budget_bytes = budget;
-    store_ = std::make_unique<Store>(pool_, std::move(layout), opts, edge_dev, update_dev,
+    store_ = std::make_unique<Store>(pool_, std::move(layout), config, edge_dev, update_dev,
                                      vertex_dev, input_edge_file);
     PhaseDriverOptions dopts;
     dopts.keep_iteration_log = config.keep_iteration_log;

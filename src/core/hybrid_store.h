@@ -57,43 +57,6 @@
 
 namespace xstream {
 
-/// Options for the hybrid store, on top of the full device-store surface.
-/// Thread-safety: plain data; set up before constructing the store.
-struct HybridStoreOptions : DeviceStoreOptions {
-  /// Byte budget for the pin set (vertex states + worst-case update buffers
-  /// + cached edge streams of the resident partitions). A planning target,
-  /// not an enforced cap: an iteration that out-produces the estimate grows
-  /// a pinned buffer past it.
-  uint64_t pin_budget_bytes = 0;
-  /// Re-plan the pin set at each iteration boundary from the previous
-  /// iteration's observed update volume.
-  bool replan_between_iterations = true;
-  /// EWMA decay for the observed-update-volume signal the re-plan consumes
-  /// (CLI --residency-decay): smoothed = decay * previous + (1 - decay) *
-  /// observed. 0 (the default) keeps the legacy last-iteration-only signal
-  /// bit-for-bit; values toward 1 age in history, damping pin-set churn on
-  /// algorithms whose per-iteration volumes oscillate (BFS/WCC frontiers).
-  /// Clamped to [0, 1) at construction. The smoothed total is surfaced as
-  /// the registry gauge "residency.<file_prefix>.smoothed_update_bytes".
-  double residency_decay = 0.0;
-  /// Iterations a partition must win (or lose) its place in the target pin
-  /// set before the incremental re-plan migrates it. 0 = legacy behavior:
-  /// a stop-the-world full re-plan between iterations (the fig31 baseline).
-  uint32_t residency_hysteresis = 2;
-  /// Cache pinned partitions' edge streams in RAM after their first device
-  /// scan, so fully resident partitions stop touching the edge device.
-  bool pin_edges = false;
-  /// Scheduler runs: the scan source's shared PinnedEdgeCache, so N
-  /// concurrent jobs hit one copy of the cached edges. Every pinning store
-  /// — shared or private — prices edge bytes into its own planner inputs,
-  /// so the pin budget bounds the cache it can request; with a shared
-  /// cache that is conservative (jobs pinning the same partition each
-  /// charge the one copy), never an under-count, and keeps the plan a
-  /// self-consistent knapsack (no budget/cache feedback loop). Null (solo
-  /// runs) = the store creates and owns a private cache.
-  std::shared_ptr<PinnedEdgeCache> shared_edge_cache;
-};
-
 /// Builds the planner inputs from the store's edge tallies: the destination
 /// and same-partition counts are the per-partition decomposition of the
 /// PartitionQuality edge cut — the locality signal the streaming
@@ -132,36 +95,29 @@ class HybridStreamStore : public DeviceStreamStore<Algo> {
   /// plan (blocks on vertex-device reads for the initial promotions).
   HybridStreamStore(ThreadPool& pool, PartitionLayout layout, const Options& opts,
                     StorageDevice& edge_dev, StorageDevice& update_dev,
-                    StorageDevice& vertex_dev, const std::string& input_edge_file)
+                    StorageDevice& vertex_dev, const std::string& input_edge_file,
+                    const StoreWiring& wiring = {})
       : Base(pool, std::move(layout), FileResidentBase(opts), edge_dev, update_dev,
-             vertex_dev, input_edge_file),
+             vertex_dev, input_edge_file, PlannerWiring(wiring)),
         hopts_(opts),
-        planner_(opts.pin_budget_bytes) {
+        planner_(ResolvePinBudget(opts.memory_budget_bytes)) {
     // Residency is planner-controlled: the base store must keep vertices in
     // files so pinning (and eviction) is a per-partition decision.
     XS_CHECK(!this->vertices_in_memory());
     planner_.set_hysteresis(hopts_.residency_hysteresis);
-    if (hopts_.residency_decay < 0.0 || hopts_.residency_decay >= 1.0) {
-      XS_LOG(Warning) << "residency decay " << hopts_.residency_decay
-                      << " outside [0, 1); clamping";
-      hopts_.residency_decay = std::clamp(hopts_.residency_decay, 0.0, 0.999);
-    }
-    smoothed_gauge_ = &obs::MetricsRegistry::Global().gauge(
-        "residency." + opts.file_prefix + ".smoothed_update_bytes");
     uint32_t k = layout_.num_partitions();
     pinned_.resize(k);
     pinned_updates_.resize(k);
     observed_updates_.assign(k, 0);
-    smoothed_updates_.assign(k, 0.0);
     pending_promote_.assign(k, 0);
     pending_evict_.assign(k, 0);
     plan_.resident.assign(k, false);
     if (hopts_.pin_edges) {
-      owns_edge_cache_ = hopts_.shared_edge_cache == nullptr;
+      owns_edge_cache_ = wiring.shared_edge_cache == nullptr;
       edge_cache_ = owns_edge_cache_
                         ? std::make_shared<PinnedEdgeCache>(
                               k, std::max<uint64_t>(1, opts_.io_unit_bytes / sizeof(Edge)))
-                        : hopts_.shared_edge_cache;
+                        : wiring.shared_edge_cache;
     }
     ApplyPlan(planner_.Plan(InitialPlanInputs()));
     replans_ = 0;  // the construction-time plan is not a re-plan
@@ -240,18 +196,6 @@ class HybridStreamStore : public DeviceStreamStore<Algo> {
   void BeginIteration() {
     Base::BeginIteration();
     bool first = iterations_seen_ == 0;
-    if (!first) {
-      // Age the volume signal: with decay 0 the smoothed series IS last
-      // iteration's observation (legacy behavior, bit-for-bit).
-      double total = 0.0;
-      for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
-        smoothed_updates_[p] = hopts_.residency_decay * smoothed_updates_[p] +
-                               (1.0 - hopts_.residency_decay) *
-                                   static_cast<double>(observed_updates_[p]);
-        total += smoothed_updates_[p];
-      }
-      smoothed_gauge_->Set(total * sizeof(Update));
-    }
     if ((!first && hopts_.replan_between_iterations) || budget_dirty_) {
       // A budget assigned before the first iteration (scheduler admission)
       // has no observed volumes yet; re-plan from the setup tallies.
@@ -434,7 +378,7 @@ class HybridStreamStore : public DeviceStreamStore<Algo> {
   /// privately owned cache currently holds. A scheduler-shared cache is not
   /// added here — its bytes are already covered by the pin budgets, since
   /// every pinning job prices edge bytes into its plan (see
-  /// HybridStoreOptions::shared_edge_cache).
+  /// StoreWiring::shared_edge_cache).
   uint64_t ResidentFootprintBytes() const {
     uint64_t total = Base::ResidentFootprintBytes();
     if (edge_cache_ != nullptr && owns_edge_cache_) {
@@ -446,8 +390,12 @@ class HybridStreamStore : public DeviceStreamStore<Algo> {
  private:
   static DeviceStoreOptions FileResidentBase(DeviceStoreOptions opts) {
     opts.allow_vertex_memory_opt = false;
-    opts.collect_dst_tallies = true;  // the planner prices pins from these
     return opts;
+  }
+
+  static StoreWiring PlannerWiring(StoreWiring wiring) {
+    wiring.collect_dst_tallies = true;  // the planner prices pins from these
+    return wiring;
   }
 
   // Every pinning store prices edge bytes into its plan, shared cache or
@@ -464,16 +412,16 @@ class HybridStreamStore : public DeviceStreamStore<Algo> {
   }
 
   // Re-plan inputs: the worst-case one-update-per-edge buffer estimate is
-  // replaced by the (EWMA-smoothed, see residency_decay) observed
-  // per-partition volume. Slightly optimistic on the avoided side for
-  // unpinned partitions (absorbed updates are counted although they never
-  // hit the file), which only makes the planner favor locality-heavy
-  // partitions it would pin anyway.
+  // replaced by the previous iteration's observed per-partition volume.
+  // Slightly optimistic on the avoided side for unpinned partitions
+  // (absorbed updates are counted although they never hit the file), which
+  // only makes the planner favor locality-heavy partitions it would pin
+  // anyway.
   std::vector<PartitionResidencyStats> ObservedPlanInputs() const {
     std::vector<PartitionResidencyStats> inputs(layout_.num_partitions());
     for (uint32_t p = 0; p < layout_.num_partitions(); ++p) {
       uint64_t vbytes = layout_.Size(p) * sizeof(VertexState);
-      uint64_t ubytes = static_cast<uint64_t>(smoothed_updates_[p] + 0.5) * sizeof(Update);
+      uint64_t ubytes = observed_updates_[p] * sizeof(Update);
       uint64_t ebytes =
           PriceEdgesInPlan() ? this->src_edge_counts()[p] * sizeof(Edge) : 0;
       inputs[p].vertex_bytes = vbytes;
@@ -597,10 +545,6 @@ class HybridStreamStore : public DeviceStreamStore<Algo> {
   // kept in RAM, absorbed and drained alike) — next iteration's buffer
   // estimate.
   std::vector<uint64_t> observed_updates_;
-  // EWMA of observed_updates_ across iterations (residency_decay); this is
-  // what ObservedPlanInputs actually feeds the planner.
-  std::vector<double> smoothed_updates_;
-  obs::Gauge* smoothed_gauge_ = nullptr;
   // Migrations staged by the last PlanDelta, awaiting their partition's
   // scatter boundary.
   std::vector<uint8_t> pending_promote_;

@@ -63,54 +63,16 @@
 
 namespace xstream {
 
-struct OutOfCoreConfig {
-  int threads = 0;  // 0 = all cores
-  // Memory budget M for vertex state + the five stream buffers (§3.4).
-  uint64_t memory_budget_bytes = 64ull << 20;
-  // I/O unit S needed to reach streaming bandwidth (16 MB on the paper's
-  // testbed, Fig 9). Benches/tests shrink it along with their graphs.
-  size_t io_unit_bytes = 1 << 20;
+// The device-store knobs (core/sizing.h) plus what the engine itself uses.
+struct OutOfCoreConfig : DeviceStoreOptions {
+  int threads = 0;              // 0 = all cores
   uint32_t num_partitions = 0;  // 0 = auto from §3.4
-  bool allow_vertex_memory_opt = true;  // §3.2 optimization 1
-  bool allow_update_memory_opt = true;  // §3.2 optimization 2
-  // Ablation of the §3.3 TRIM discipline: true truncates each partition's
-  // update file the moment its stream is consumed; false defers all
-  // truncation to the end of the gather phase, so consumed update streams
-  // occupy the device until the phase completes (higher peak occupancy,
-  // more SSD GC pressure).
-  bool eager_update_truncate = true;
-  bool keep_iteration_log = true;
-  // Locality optimization enabled by the streaming-partitioner subsystem:
-  // when a spill happens while partition s is being scattered, updates
-  // destined to s itself are gathered immediately into a shadow copy of s's
-  // (already loaded) vertex states instead of being written to — and later
-  // read back from — s's update file. Legal because X-Stream updates are
-  // unordered within an iteration (the shuffle never sorts), so gathers may
-  // be applied in any order; the shadow keeps scatter reading pre-iteration
-  // state. Costs one extra partition-sized vertex array on top of the §3.4
-  // budget. Only active with file-resident vertices; the better the
-  // vertex->partition mapping, the more traffic it removes.
-  bool absorb_local_updates = true;
-  // §3.3 compute/write overlap on the spill path (fig 28). False makes
-  // every spill wait for its own update-file write — the sync baseline.
-  bool async_spill = true;
-  // Spill write-pipeline depth (number of rotating shuffle/write buffers).
-  // 2 = the paper's double buffering; RAID update devices that absorb
-  // several concurrent streams benefit from more slots. Clamped to >= 2.
-  int spill_queue_depth = 2;
-  // Delta+varint compression of spilled update streams (--compress-updates;
-  // see core/stream_codec.h). Bit-identical results, fewer update-file
-  // bytes.
-  bool compress_updates = false;
-  // Per-thread staging for the single-stage shuffles (--stage-bytes); 0 =
-  // legacy fused counting shuffle, see DeviceStoreOptions::stage_bytes.
-  size_t stage_bytes = 0;
   // Optional streaming partitioner (src/partitioning/). Null keeps the
   // paper's equal contiguous ranges. When set, its passes stream the input
   // edge file during setup and vertex state is sliced in the mapping's
   // dense order (not owned; must outlive the engine).
   Partitioner* partitioner = nullptr;
-  std::string file_prefix = "xs";
+  bool keep_iteration_log = true;
 };
 
 template <EdgeCentricAlgorithm Algo>
@@ -136,7 +98,7 @@ class OutOfCoreEngine {
     uint64_t vertex_bytes = num_vertices_ * sizeof(VertexState);
     uint32_t k = config.num_partitions > 0
                      ? config.num_partitions
-                     : ChooseOutOfCorePartitions(vertex_bytes, config.memory_budget_bytes,
+                     : ChooseOutOfCorePartitions(vertex_bytes, config.streaming_budget_bytes,
                                                  config.io_unit_bytes);
     PartitionLayout layout;
     if (config.partitioner != nullptr) {
@@ -150,19 +112,7 @@ class OutOfCoreEngine {
       layout = PartitionLayout(num_vertices_, k);
     }
 
-    typename Store::Options opts;
-    opts.memory_budget_bytes = config.memory_budget_bytes;
-    opts.io_unit_bytes = config.io_unit_bytes;
-    opts.allow_vertex_memory_opt = config.allow_vertex_memory_opt;
-    opts.allow_update_memory_opt = config.allow_update_memory_opt;
-    opts.eager_update_truncate = config.eager_update_truncate;
-    opts.absorb_local_updates = config.absorb_local_updates;
-    opts.async_spill = config.async_spill;
-    opts.spill_queue_depth = config.spill_queue_depth;
-    opts.compress_updates = config.compress_updates;
-    opts.stage_bytes = config.stage_bytes;
-    opts.file_prefix = config.file_prefix;
-    store_ = std::make_unique<Store>(pool_, std::move(layout), opts, edge_dev, update_dev,
+    store_ = std::make_unique<Store>(pool_, std::move(layout), config, edge_dev, update_dev,
                                      vertex_dev, input_edge_file);
     PhaseDriverOptions dopts;
     dopts.keep_iteration_log = config.keep_iteration_log;

@@ -5,6 +5,7 @@
 
 #include "util/env.h"
 #include "util/logging.h"
+#include "util/options.h"
 
 namespace xstream {
 
@@ -71,6 +72,76 @@ uint64_t ResolveMemoryBudget(uint64_t requested_bytes) {
     return physical;
   }
   return requested_bytes;
+}
+
+uint64_t ResolvePinBudget(uint64_t memory_budget_bytes) {
+  if (memory_budget_bytes == 0) {
+    return 0;
+  }
+  return ResolveMemoryBudget(
+      memory_budget_bytes == HybridStoreOptions::kAutoMemoryBudget ? 0 : memory_budget_bytes);
+}
+
+HybridStoreOptions DeviceOptionsFromFlags(const Options& flags,
+                                          const HybridStoreOptions& defaults) {
+  HybridStoreOptions o = defaults;
+  o.streaming_budget_bytes = flags.GetUint("budget-mb", defaults.streaming_budget_bytes >> 20)
+                             << 20;
+  o.io_unit_bytes = static_cast<size_t>(flags.GetUint("io-unit-kb", defaults.io_unit_bytes >> 10))
+                    << 10;
+  o.async_spill = !flags.GetBool("sync-spill", !defaults.async_spill);
+  o.spill_queue_depth = static_cast<int>(flags.GetInt("spill-depth", defaults.spill_queue_depth));
+  o.stage_bytes = static_cast<size_t>(flags.GetUint("stage-bytes", defaults.stage_bytes));
+  o.compress_updates = flags.GetBool("compress-updates", defaults.compress_updates);
+  o.memory_budget_bytes = flags.GetUint("memory-budget", defaults.memory_budget_bytes);
+  o.replan_between_iterations = !flags.GetBool("no-replan", !defaults.replan_between_iterations);
+  o.residency_hysteresis = static_cast<uint32_t>(
+      flags.GetUint("residency-hysteresis", defaults.residency_hysteresis));
+  o.pin_edges = flags.GetBool("pin-edges", defaults.pin_edges);
+  return o;
+}
+
+std::string DeviceFlagsUsage(const HybridStoreOptions& d) {
+  std::string stage = d.stage_bytes == DefaultShuffleStageBytes()
+                          ? "auto, half the per-core cache"
+                          : std::to_string(d.stage_bytes);
+  std::string pin = d.memory_budget_bytes == HybridStoreOptions::kAutoMemoryBudget
+                        ? "half of physical memory"
+                        : std::to_string(d.memory_budget_bytes);
+  return "    --budget-mb=N           streaming budget M (§3.4) of each out-of-core\n"
+         "                            engine, hybrid engine or device job, MB\n"
+         "                            (default " + std::to_string(d.streaming_budget_bytes >> 20) +
+         ")\n"
+         "    --io-unit-kb=N          I/O unit S (default " + std::to_string(d.io_unit_bytes >> 10) +
+         ")\n"
+         "    --sync-spill            serialize update-spill writes (default: async,\n"
+         "                            double-buffered on the device I/O thread)\n"
+         "    --spill-depth=N         spill write-pipeline slots (default " +
+         std::to_string(d.spill_queue_depth) + "; raise for\n"
+         "                            RAID update devices)\n"
+         "    --stage-bytes=N         per-thread staging bytes for the cache-aware\n"
+         "                            single-stage shuffle; 0 = fused counting\n"
+         "                            shuffle (default: " + stage + ")\n"
+         "    --compress-updates      delta+varint compress spilled update streams\n"
+         "                            (bit-identical results, fewer update-file bytes;\n"
+         "                            ratio in the store.codec.* metrics)\n"
+         "  --memory-budget=BYTES     hybrid: byte budget for pinning hot partitions\n"
+         "                            in RAM (default: " + pin + "); 0 pins nothing,\n"
+         "                            and requests above physical memory are clamped\n"
+         "                            with a warning. Under the job scheduler it also\n"
+         "                            gates admission and is split across the active\n"
+         "                            hybrid jobs\n"
+         "    --no-replan             hybrid: freeze the pin set chosen at setup\n"
+         "                            instead of re-planning between iterations\n"
+         "    --residency-hysteresis=N  hybrid: iterations a partition must win/lose\n"
+         "                            its pin before the incremental re-plan migrates\n"
+         "                            it (default " + std::to_string(d.residency_hysteresis) +
+         "; 0 = stop-the-world full re-plan\n"
+         "                            between iterations)\n"
+         "    --pin-edges             hybrid: cache pinned partitions' edge streams in\n"
+         "                            RAM after their first scan, so fully resident\n"
+         "                            partitions never touch the edge device (edge\n"
+         "                            bytes are priced into --memory-budget)\n";
 }
 
 uint32_t ChooseShuffleFanout(uint32_t num_partitions, size_t cache_bytes,

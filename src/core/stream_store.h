@@ -46,6 +46,7 @@
 #include "buffers/stream_buffer.h"
 #include "core/algorithm.h"
 #include "core/partition.h"
+#include "core/sizing.h"
 #include "core/stats.h"
 #include "core/stream_codec.h"
 #include "graph/types.h"
@@ -496,50 +497,33 @@ class MemoryStreamStore {
 // DeviceStreamStore: per-partition edge/update/vertex files on storage
 // devices (paper §3), with the folded shuffle-spill path.
 
-struct DeviceStoreOptions {
-  uint64_t memory_budget_bytes = 64ull << 20;
-  size_t io_unit_bytes = 1 << 20;
-  bool allow_vertex_memory_opt = true;
-  bool allow_update_memory_opt = true;
-  bool eager_update_truncate = true;
-  bool absorb_local_updates = true;
-  // Double-buffered asynchronous spill writes (§3.3). Off = each spill
-  // waits for its own update-file write (the fig28 sync baseline).
-  bool async_spill = true;
-  // Spill write-pipeline depth: how many shuffle/write buffers the spill
-  // path rotates through. 2 = the paper's double buffering; RAID update
-  // devices that absorb several streams can take more writes in flight.
-  // Clamped to >= 2 (the gather scratch logic needs two non-fill buffers).
-  int spill_queue_depth = 2;
+// How a store is wired to its surroundings, as opposed to how it is tuned
+// (DeviceStoreOptions): set by the hybrid store and the scheduler's job
+// factory, never parsed from flags. The default is a solo store that
+// partitions its own input.
+struct StoreWiring {
   // Tally incoming/local edges per partition during the setup and ingest
   // shuffles (one extra PartitionOf per edge). Only the hybrid store's
   // residency planner consumes the tallies, so it alone turns this on.
   bool collect_dst_tallies = false;
-  std::string file_prefix = "xs";
-  // Shared-scan attach mode (src/scheduler/): open the existing per-
-  // partition edge files named "<edge_file_prefix>.edges.N" instead of
-  // creating them and partitioning `input_edge_file` (ignored, may be
-  // empty). Update and vertex files are still created under file_prefix.
-  // IngestEdges is disabled — the scan source owns the edge streams.
-  bool attach_edge_files = false;
-  std::string edge_file_prefix;  // empty = file_prefix
+  // Shared-scan attach mode (src/scheduler/), on when non-empty: open the
+  // existing per-partition edge files "<edge_file_prefix>.edges.N" instead
+  // of creating them and partitioning `input_edge_file` (ignored, may be
+  // empty). Update and vertex files are still created under the store's
+  // file_prefix. IngestEdges is disabled — the scan source owns the edges.
+  std::string edge_file_prefix;
   // Setup-pass tallies supplied by the owner of the shared edge files
   // (attach mode never runs its own tally pass). Not owned; read once at
   // construction.
   const std::vector<uint64_t>* shared_dst_tallies = nullptr;
   const std::vector<uint64_t>* shared_local_tallies = nullptr;
-  // Delta+varint compression of the spilled update streams (StreamCodec,
-  // --compress-updates): spills encode on the I/O thread, gathers decode
-  // frame by frame. Results are bit-identical either way; only the
-  // update-file bytes change. Off by default — it trades codec CPU for
-  // update-device bandwidth, a win exactly when the update device is the
-  // bottleneck.
-  bool compress_updates = false;
-  // Per-thread staging bytes for the single-stage shuffles (--stage-bytes):
-  // routes the spill/setup shuffles through StagedSingleStageShuffle when
-  // > 0 (~L2 is the intended size; see DefaultShuffleStageBytes). 0 keeps
-  // the legacy fused counting shuffle. Output is identical either way.
-  size_t stage_bytes = 0;
+  // Hybrid jobs: the scan source's shared PinnedEdgeCache, so N concurrent
+  // jobs hit one copy of the cached edges. Each job still prices the edge
+  // bytes it pins into its own plan (conservative, never an under-count).
+  // Null = a pinning store owns a private cache.
+  std::shared_ptr<PinnedEdgeCache> shared_edge_cache;
+
+  bool attached() const { return !edge_file_prefix.empty(); }
 };
 
 template <EdgeCentricAlgorithm Algo>
@@ -554,13 +538,16 @@ class DeviceStreamStore {
 
   // Devices may all be the same object (single disk), split between edges
   // and updates (the Fig 15 "independent disks" configuration), or RAID-0
-  // wrappers. `input_edge_file` must exist on `edge_dev`.
+  // wrappers. `input_edge_file` must exist on `edge_dev` unless `wiring`
+  // attaches the store to a scan source's edge files.
   DeviceStreamStore(ThreadPool& pool, PartitionLayout layout, const Options& opts,
                     StorageDevice& edge_dev, StorageDevice& update_dev,
-                    StorageDevice& vertex_dev, const std::string& input_edge_file)
+                    StorageDevice& vertex_dev, const std::string& input_edge_file,
+                    const StoreWiring& wiring = {})
       : pool_(pool),
         layout_(std::move(layout)),
         opts_(opts),
+        wiring_(wiring),
         edge_dev_(edge_dev),
         update_dev_(update_dev),
         vertex_dev_(vertex_dev),
@@ -571,7 +558,7 @@ class DeviceStreamStore {
     // §3.2 optimization 1: memory-resident vertex array when it fits in half
     // the budget (the other half belongs to the stream buffers).
     vertices_in_memory_ =
-        opts_.allow_vertex_memory_opt && vertex_bytes <= opts_.memory_budget_bytes / 2;
+        opts_.allow_vertex_memory_opt && vertex_bytes <= opts_.streaming_budget_bytes / 2;
 
     // Stream buffer capacity: S bytes per partition chunk (§3.4), with a
     // floor of twice the worst-case updates of one loaded edge chunk so a
@@ -599,8 +586,8 @@ class DeviceStreamStore {
     dst_edge_counts_.assign(k, 0);
     local_edge_counts_.assign(k, 0);
     for (uint32_t p = 0; p < k; ++p) {
-      edge_files_[p] = opts_.attach_edge_files ? edge_dev_.Open(EdgeFileName(p))
-                                               : edge_dev_.Create(EdgeFileName(p));
+      edge_files_[p] = wiring_.attached() ? edge_dev_.Open(EdgeFileName(p))
+                                          : edge_dev_.Create(EdgeFileName(p));
       update_files_[p] = update_dev_.Create(PartFile("updates", p));
       if (!vertices_in_memory_) {
         vertex_files_[p] = vertex_dev_.Create(PartFile("vertices", p));
@@ -629,17 +616,17 @@ class DeviceStreamStore {
     // on, which includes the input-partitioning pass below (X-Stream
     // charges its own pre-processing to the run).
     CaptureDeviceBaselines();
-    if (opts_.attach_edge_files) {
+    if (wiring_.attached()) {
       // The scan source already partitioned the input; recover the edge
       // counts from the file sizes and the planner tallies from the source.
       for (uint32_t p = 0; p < k; ++p) {
         edge_counts_[p] = edge_dev_.FileSize(edge_files_[p]) / sizeof(Edge);
       }
-      if (opts_.shared_dst_tallies != nullptr) {
-        dst_edge_counts_ = *opts_.shared_dst_tallies;
+      if (wiring_.shared_dst_tallies != nullptr) {
+        dst_edge_counts_ = *wiring_.shared_dst_tallies;
       }
-      if (opts_.shared_local_tallies != nullptr) {
-        local_edge_counts_ = *opts_.shared_local_tallies;
+      if (wiring_.shared_local_tallies != nullptr) {
+        local_edge_counts_ = *wiring_.shared_local_tallies;
       }
     } else {
       PartitionInputEdges(input_edge_file);
@@ -1127,7 +1114,7 @@ class DeviceStreamStore {
   // path): each batch goes through the same in-memory shuffle and is
   // appended to the per-partition edge files.
   void IngestEdges(const EdgeList& batch) {
-    XS_CHECK(!opts_.attach_edge_files)
+    XS_CHECK(!wiring_.attached())
         << "attached stores share their edge files with a scan source; ingest "
            "through the source instead";
     for (const Edge& e : batch) {
@@ -1198,7 +1185,7 @@ class DeviceStreamStore {
   // case they carry the source's prefix rather than this store's.
   std::string EdgeFileName(uint32_t p) const {
     const std::string& prefix =
-        opts_.edge_file_prefix.empty() ? opts_.file_prefix : opts_.edge_file_prefix;
+        wiring_.attached() ? wiring_.edge_file_prefix : opts_.file_prefix;
     return prefix + ".edges." + std::to_string(p);
   }
 
@@ -1224,7 +1211,7 @@ class DeviceStreamStore {
     tallies.src = &edge_counts_;
     tallies.dst = &dst_edge_counts_;
     tallies.local = &local_edge_counts_;
-    tallies.collect_dst = opts_.collect_dst_tallies;
+    tallies.collect_dst = wiring_.collect_dst_tallies;
     return tallies;
   }
 
@@ -1297,6 +1284,7 @@ class DeviceStreamStore {
   ThreadPool& pool_;
   PartitionLayout layout_;
   Options opts_;
+  StoreWiring wiring_;
   StorageDevice& edge_dev_;
   StorageDevice& update_dev_;
   StorageDevice& vertex_dev_;

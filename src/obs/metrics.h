@@ -64,8 +64,8 @@ class Counter {
   Shard shards_[kCounterShards];
 };
 
-// Last-write-wins double gauge (resident bytes, queue depth, smoothed
-// volumes). Set/Add are single atomic ops.
+// Last-write-wins double gauge (resident bytes, queue depth, phase
+// seconds). Set/Add are single atomic ops.
 class Gauge {
  public:
   void Set(double v) {
@@ -127,7 +127,7 @@ class Histogram {
 // Name -> metric registry. Creation takes a mutex (held only at wiring
 // time); lookups return stable references valid for the registry's life.
 // Names are dot-separated, e.g. "io.ssd.read_bytes",
-// "scheduler.scans_saved", "residency.job0.smoothed_update_bytes".
+// "scheduler.scans_saved", "edge_cache.pinned_bytes".
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();

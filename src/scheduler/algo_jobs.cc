@@ -107,23 +107,6 @@ std::unique_ptr<ScheduledJob> FinishBuild(const JobSpec& spec, Algo algo,
                                                  dopts, max_iters, std::move(finalize));
 }
 
-DeviceStoreOptions AttachedStoreOptions(DeviceScanSource& source, const DeviceJobConfig& cfg,
-                                        const std::string& prefix) {
-  DeviceStoreOptions opts;
-  opts.memory_budget_bytes = cfg.memory_budget_bytes;
-  opts.io_unit_bytes = cfg.io_unit_bytes;
-  opts.allow_vertex_memory_opt = cfg.allow_vertex_memory_opt;
-  opts.allow_update_memory_opt = cfg.allow_update_memory_opt;
-  opts.absorb_local_updates = cfg.absorb_local_updates;
-  opts.async_spill = cfg.async_spill;
-  opts.spill_queue_depth = cfg.spill_queue_depth;
-  opts.compress_updates = cfg.compress_updates;
-  opts.stage_bytes = cfg.stage_bytes;
-  opts.file_prefix = prefix;
-  source.ConfigureAttachedStore(opts);
-  return opts;
-}
-
 // The driver's ScatterChunk spills before appending a chunk's worst-case
 // updates, which only works if one scan-source chunk fits the job's fill
 // buffer — true by construction in solo runs, checked here for the shared
@@ -143,28 +126,19 @@ std::unique_ptr<ScheduledJob> MakeDeviceJobFor(
     const JobSpec& spec, Algo algo, uint64_t max_iters,
     double (*extract)(const typename Algo::VertexState&),
     std::string (*summarize)(const JobOutput&), DeviceScanSource& source,
-    StorageDevice& update_dev, StorageDevice& vertex_dev, const DeviceJobConfig& cfg,
-    const std::string& prefix, std::shared_ptr<JobOutput> out) {
-  if (cfg.hybrid) {
-    HybridStoreOptions opts;
-    static_cast<DeviceStoreOptions&>(opts) = AttachedStoreOptions(source, cfg, prefix);
-    opts.pin_budget_bytes = cfg.pin_budget_bytes;
-    opts.residency_hysteresis = cfg.residency_hysteresis;
-    opts.residency_decay = cfg.residency_decay;
-    opts.pin_edges = cfg.pin_edges;
-    if (cfg.pin_edges) {
-      opts.shared_edge_cache = source.EnsureEdgeCache();
-    }
+    StorageDevice& update_dev, StorageDevice& vertex_dev, const HybridStoreOptions& opts,
+    bool hybrid, std::shared_ptr<JobOutput> out) {
+  if (hybrid) {
     auto store = std::make_unique<HybridStreamStore<Algo>>(
         source.pool(), source.layout(), opts, source.edge_device(), update_dev, vertex_dev,
-        std::string());
+        std::string(), source.AttachWiring(opts.pin_edges));
     CheckChunkFitsBuffer(source, *store, spec);
     return FinishBuild(spec, std::move(algo), std::move(store), max_iters, std::move(out),
                        extract, summarize);
   }
   auto store = std::make_unique<DeviceStreamStore<Algo>>(
-      source.pool(), source.layout(), AttachedStoreOptions(source, cfg, prefix),
-      source.edge_device(), update_dev, vertex_dev, std::string());
+      source.pool(), source.layout(), opts, source.edge_device(), update_dev, vertex_dev,
+      std::string(), source.AttachWiring(false));
   CheckChunkFitsBuffer(source, *store, spec);
   return FinishBuild(spec, std::move(algo), std::move(store), max_iters, std::move(out),
                      extract, summarize);
@@ -273,14 +247,13 @@ std::vector<JobSpec> ParseJobList(const std::string& comma_separated) {
 std::unique_ptr<ScheduledJob> MakeDeviceJob(const JobSpec& spec, DeviceScanSource& source,
                                             StorageDevice& update_dev,
                                             StorageDevice& vertex_dev,
-                                            const DeviceJobConfig& config,
-                                            const std::string& file_prefix,
+                                            const HybridStoreOptions& opts, bool hybrid,
                                             std::shared_ptr<JobOutput> out) {
   uint64_t n = source.layout().num_vertices();
   return DispatchAlgo(spec, n, [&](auto algo, uint64_t max_iters, auto extract,
                                    auto summarize) {
     return MakeDeviceJobFor(spec, std::move(algo), max_iters, extract, summarize, source,
-                            update_dev, vertex_dev, config, file_prefix, out);
+                            update_dev, vertex_dev, opts, hybrid, out);
   });
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sizing.h"
 #include "core/stats.h"
 #include "graph/types.h"
 #include "scheduler/job.h"
@@ -46,44 +47,16 @@ struct JobOutput {
   RunStats stats;
 };
 
-// Store/driver knobs for jobs built against a device scan source. Mirrors
-// the OutOfCoreConfig fields that make sense per job.
-struct DeviceJobConfig {
-  uint64_t memory_budget_bytes = 64ull << 20;  // §3.4 streaming budget
-  size_t io_unit_bytes = 1 << 20;
-  bool allow_vertex_memory_opt = true;
-  bool allow_update_memory_opt = true;
-  bool absorb_local_updates = true;
-  bool async_spill = true;
-  int spill_queue_depth = 2;
-  // Delta+varint compression of the job's spilled update streams.
-  bool compress_updates = false;
-  // Per-thread staging for the job's single-stage shuffles; 0 = legacy.
-  size_t stage_bytes = 0;
-  // Hybrid (partially resident) job stores instead of plain device stores;
-  // the scheduler's budget re-split then drives their residency planners.
-  bool hybrid = false;
-  uint64_t pin_budget_bytes = 0;  // initial; a scheduler budget overrides it
-  // Hybrid jobs: iterations a partition must win/lose its pin before the
-  // incremental re-plan migrates it (0 = legacy full re-plan).
-  uint32_t residency_hysteresis = 2;
-  // Hybrid jobs: EWMA decay for the planner's observed-update-volume signal
-  // (0 = legacy last-iteration-only behaviour).
-  double residency_decay = 0.0;
-  // Hybrid jobs: cache pinned partitions' edge streams in the scan source's
-  // shared PinnedEdgeCache — all jobs hit one RAM copy, priced centrally
-  // against the scheduler budget.
-  bool pin_edges = false;
-};
-
-// Builds a job whose DeviceStreamStore/HybridStreamStore attaches to the
-// scan source's edge files; update and vertex files are created on the given
-// devices under `file_prefix`.
+// Builds a job whose store attaches to the scan source's edge files; its
+// update and vertex files are created on the given devices under
+// `opts.file_prefix`, so every job needs its own prefix. `hybrid` picks a
+// HybridStreamStore, whose initial pin budget is `opts.memory_budget_bytes`
+// until the scheduler's budget re-split replaces it; otherwise a plain
+// DeviceStreamStore, which reads only the DeviceStoreOptions part of `opts`.
 std::unique_ptr<ScheduledJob> MakeDeviceJob(const JobSpec& spec, DeviceScanSource& source,
                                             StorageDevice& update_dev,
                                             StorageDevice& vertex_dev,
-                                            const DeviceJobConfig& config,
-                                            const std::string& file_prefix,
+                                            const HybridStoreOptions& opts, bool hybrid,
                                             std::shared_ptr<JobOutput> out);
 
 // Builds a job whose MemoryStreamStore shares the source's edge chunks.

@@ -8,7 +8,7 @@
 // per-partition edge files of the device path, or the shuffled in-RAM chunk
 // array of the memory path — and the JobScheduler (scheduler.h) streams it
 // once per round on behalf of every active job. Per-job stores *attach* to
-// the source (DeviceStoreOptions::attach_edge_files, MemoryStreamStore's
+// the source (StoreWiring::edge_file_prefix, MemoryStreamStore's
 // SharedEdgeChunks constructor) instead of partitioning the input
 // themselves, so both the setup pass and the per-iteration scans are shared.
 #ifndef XSTREAM_SCHEDULER_SCAN_SOURCE_H_
@@ -97,25 +97,27 @@ class DeviceScanSource : public ScanSource {
   const std::vector<uint64_t>& dst_edge_counts() const { return dst_edge_counts_; }
   const std::vector<uint64_t>& local_edge_counts() const { return local_edge_counts_; }
 
-  // The shared pinned-edge cache (created eagerly at construction, so
-  // handing it to concurrently built jobs is race-free): attached hybrid
-  // jobs with pin_edges on Request()/Release() partitions in it as their
-  // residency plans migrate, and the shared scan fills it and serves sealed
-  // partitions from RAM — N concurrent jobs hit one copy of the cached
-  // edges. Empty (and free) until the first Request; bounded by the
-  // requesting jobs' pin budgets (each prices edge bytes into its plan).
-  std::shared_ptr<PinnedEdgeCache> EnsureEdgeCache() { return edge_cache_; }
-
   uint64_t PinnedResidentBytes() const override { return edge_cache_->bytes(); }
   uint64_t EdgeReadsAvoidedBytes() const override { return edge_cache_->served_bytes(); }
 
-  // Fills the attach-mode fields of a job store's options so it opens this
-  // source's edge files instead of partitioning its own.
-  void ConfigureAttachedStore(DeviceStoreOptions& opts) const {
-    opts.attach_edge_files = true;
-    opts.edge_file_prefix = opts_.file_prefix;
-    opts.shared_dst_tallies = &dst_edge_counts_;
-    opts.shared_local_tallies = &local_edge_counts_;
+  // Wiring for a job store that opens this source's edge files instead of
+  // partitioning its own. With `share_edge_cache`, the store also gets the
+  // source's pinned-edge cache (created eagerly at construction, so handing
+  // it to concurrently built jobs is race-free): attached hybrid jobs with
+  // pin_edges on Request()/Release() partitions in it as their residency
+  // plans migrate, and the shared scan fills it and serves sealed
+  // partitions from RAM — N concurrent jobs hit one copy of the cached
+  // edges. Empty (and free) until the first Request; bounded by the
+  // requesting jobs' pin budgets (each prices edge bytes into its plan).
+  StoreWiring AttachWiring(bool share_edge_cache) const {
+    StoreWiring wiring;
+    wiring.edge_file_prefix = opts_.file_prefix;
+    wiring.shared_dst_tallies = &dst_edge_counts_;
+    wiring.shared_local_tallies = &local_edge_counts_;
+    if (share_edge_cache) {
+      wiring.shared_edge_cache = edge_cache_;
+    }
+    return wiring;
   }
 
  private:

@@ -98,8 +98,9 @@ void GraphService::Mount(GraphSpec spec) {
     // algorithm's state against the per-job streaming budget.
     k = opts_.engine == "in-memory"
             ? 8
-            : ChooseOutOfCorePartitions(ctx->info.num_vertices * 16, opts_.job_budget_bytes,
-                                        opts_.io_unit_bytes);
+            : ChooseOutOfCorePartitions(ctx->info.num_vertices * 16,
+                                        opts_.device.streaming_budget_bytes,
+                                        opts_.device.io_unit_bytes);
   }
   ctx->layout = PartitionLayout(ctx->info.num_vertices, k);
   if (opts_.engine == "in-memory") {
@@ -115,7 +116,7 @@ void GraphService::Mount(GraphSpec spec) {
     std::string edge_file = spec.name + ".edges";
     WriteEdgeFile(*ctx->disk, edge_file, spec.edges);
     DeviceScanSource::Options sopts;
-    sopts.io_unit_bytes = opts_.io_unit_bytes;
+    sopts.io_unit_bytes = opts_.device.io_unit_bytes;
     sopts.file_prefix = spec.name + ".scan";
     sopts.collect_dst_tallies = opts_.engine == "hybrid";
     ctx->source = std::make_unique<DeviceScanSource>(pool_, ctx->layout, sopts, *ctx->disk,
@@ -341,12 +342,10 @@ obs::HttpResponse GraphService::SubmitJob(const obs::HttpRequest& request) {
   if (opts_.engine == "in-memory") {
     job = MakeMemoryJob(spec, static_cast<MemoryScanSource&>(*graph->source), output);
   } else {
-    DeviceJobConfig jcfg;
-    jcfg.memory_budget_bytes = opts_.job_budget_bytes;
-    jcfg.io_unit_bytes = opts_.io_unit_bytes;
-    jcfg.hybrid = opts_.engine == "hybrid";
+    HybridStoreOptions store = opts_.device;
+    store.file_prefix = graph->name + ".q" + std::to_string(id);
     job = MakeDeviceJob(spec, static_cast<DeviceScanSource&>(*graph->source), *graph->disk,
-                        *graph->disk, jcfg, graph->name + ".q" + std::to_string(id), output);
+                        *graph->disk, store, opts_.engine == "hybrid", output);
   }
   SubmitOutcome outcome = graph->scheduler->TrySubmit(std::move(job), tenant);
   if (!outcome.accepted) {

@@ -68,9 +68,11 @@ struct ServiceOptions {
   std::string workdir;        // scratch dir when empty (device engines only)
   int threads = 0;            // shared compute pool size, 0 = all cores
   uint32_t partitions = 0;    // per-graph partition count, 0 = auto
-  size_t io_unit_bytes = 1 << 20;
-  /// Per-job streaming budget for device-backed jobs (the CLI's --budget-mb).
-  uint64_t job_budget_bytes = 64ull << 20;
+  /// Store knobs of every device-backed job (and the scan source's I/O
+  /// unit); file_prefix is replaced per job. memory_budget_bytes is each
+  /// hybrid job's initial pin budget (0 by default); a non-zero
+  /// scheduler.memory_budget_bytes is re-split across the active jobs.
+  HybridStoreOptions device;
   /// Fair-share admission config (weights, quotas, memory budget) applied
   /// to every graph's scheduler.
   SchedulerOptions scheduler;

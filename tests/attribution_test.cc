@@ -175,7 +175,7 @@ TEST(AttributionReconcileTest, OutOfCoreWaitsMatchRunStats) {
   WriteEdgeFile(dev, "input", edges);
   OutOfCoreConfig config;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 17;  // force spills and file vertices
+  config.streaming_budget_bytes = 1 << 17;  // force spills and file vertices
   config.io_unit_bytes = 16 * 1024;
   config.num_partitions = 8;
   config.allow_vertex_memory_opt = false;
@@ -344,7 +344,7 @@ TEST(CpuProfilerTest, SafeAlongsideIoExecutorThreads) {
   WriteEdgeFile(dev, "input", edges);
   OutOfCoreConfig config;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 18;
+  config.streaming_budget_bytes = 1 << 18;
   config.io_unit_bytes = 16 * 1024;
   config.num_partitions = 4;
   OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);

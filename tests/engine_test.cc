@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "algorithms/algorithms.h"
+#include "core/hybrid_engine.h"
 #include "core/inmem_engine.h"
 #include "core/ooc_engine.h"
 #include "graph/edge_io.h"
@@ -15,6 +16,24 @@
 
 namespace xstream {
 namespace {
+
+// Each engine config exposes only knobs its engine reads. The hybrid store
+// keeps vertex states in files and pins them per partition, so a
+// HybridConfig has no all-or-nothing vertex-memory switch to set.
+template <typename Config>
+concept HasVertexMemoryOpt = requires(Config& c) { c.allow_vertex_memory_opt = false; };
+static_assert(HasVertexMemoryOpt<OutOfCoreConfig>);
+static_assert(!HasVertexMemoryOpt<HybridConfig>);
+// Scheduler jobs also build plain device stores from HybridStoreOptions,
+// and those stores do read the switch.
+static_assert(HasVertexMemoryOpt<HybridStoreOptions>);
+
+// A hybrid engine pins up to half of physical memory by default; store
+// options (what scheduler jobs and the serve daemon take) pin nothing.
+TEST(HybridConfigTest, OnlyTheEngineConfigDefaultsToTheAutomaticPinBudget) {
+  EXPECT_EQ(HybridConfig().memory_budget_bytes, HybridStoreOptions::kAutoMemoryBudget);
+  EXPECT_EQ(HybridStoreOptions().memory_budget_bytes, 0u);
+}
 
 InMemoryConfig SmallInMemConfig(int threads = 2, uint32_t partitions = 0) {
   InMemoryConfig config;
@@ -35,7 +54,7 @@ struct OocHarness {
     GraphInfo info = ScanEdges(edges);
     OutOfCoreConfig config;
     config.threads = static_cast<int>(threads);
-    config.memory_budget_bytes = budget;
+    config.streaming_budget_bytes = budget;
     config.io_unit_bytes = 16 * 1024;
     config.num_partitions = partitions;
     config.allow_vertex_memory_opt = allow_mem_opts;
@@ -549,7 +568,7 @@ TEST(OocEngineTest, IngestEdgesExtendsGraph) {
   info.num_edges = both.size();
   OutOfCoreConfig config;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 20;
+  config.streaming_budget_bytes = 1 << 20;
   config.io_unit_bytes = 16 * 1024;
   OutOfCoreEngine<WccAlgorithm> engine(config, *dev, *dev, *dev, "input", info);
 

@@ -226,7 +226,7 @@ TEST(PartitionedEngineTest, OutOfCoreResultsIdenticalAcrossStrategies) {
     WriteEdgeFile(dev, "input", edges);
     OutOfCoreConfig config;
     config.threads = 2;
-    config.memory_budget_bytes = 1ull << 20;
+    config.streaming_budget_bytes = 1ull << 20;
     config.io_unit_bytes = 16 * 1024;
     config.num_partitions = 4;
     config.allow_vertex_memory_opt = false;  // file-resident vertex states
@@ -261,7 +261,7 @@ TEST(PartitionedEngineTest, AbsorptionPreservesResultsAndCutsUpdateTraffic) {
     WriteEdgeFile(dev, "input", edges);
     OutOfCoreConfig config;
     config.threads = 2;
-    config.memory_budget_bytes = 1ull << 20;
+    config.streaming_budget_bytes = 1ull << 20;
     config.io_unit_bytes = 16 * 1024;
     config.num_partitions = 4;
     config.allow_vertex_memory_opt = false;

@@ -295,7 +295,7 @@ TEST(PhaseRuntimeTest, DriverCheckpointRoundtripAcrossStores) {
 HybridStoreOptions SmallHybridOpts(uint64_t pin_budget) {
   HybridStoreOptions opts;
   static_cast<DeviceStoreOptions&>(opts) = SmallDeviceOpts(/*spill_heavy=*/true);
-  opts.pin_budget_bytes = pin_budget;
+  opts.memory_budget_bytes = pin_budget;
   return opts;
 }
 
@@ -350,7 +350,7 @@ TEST(PhaseRuntimeTest, CompressionAndStagingAreResultInvariant) {
 
       HybridStoreOptions hopts;
       static_cast<DeviceStoreOptions&>(hopts) = opts;
-      hopts.pin_budget_bytes = half_pin;
+      hopts.memory_budget_bytes = half_pin;
       auto hw_got = hw.RunHybrid(WccAlgorithm{}, edges, layout, hopts);
       auto hb_got = hb.RunHybrid(BfsAlgorithm(0), edges, layout, hopts);
       auto hp_got = hp.RunHybrid(pr, edges, layout, hopts, 4);

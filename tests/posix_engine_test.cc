@@ -34,7 +34,7 @@ TEST(PosixEngineTest, WccOnRealFiles) {
 
   OutOfCoreConfig config;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 20;
+  config.streaming_budget_bytes = 1 << 20;
   config.io_unit_bytes = 64 << 10;
   OutOfCoreEngine<WccAlgorithm> engine(config, dev, dev, dev, "input", info);
   WccResult r = RunWcc(engine);
@@ -51,7 +51,7 @@ TEST(PosixEngineTest, WccWithFileResidentVerticesAndSpills) {
 
   OutOfCoreConfig config;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 18;
+  config.streaming_budget_bytes = 1 << 18;
   config.io_unit_bytes = 16 << 10;
   config.num_partitions = 8;
   config.allow_vertex_memory_opt = false;
@@ -74,7 +74,7 @@ TEST(PosixEngineTest, SplitDevicesForEdgesAndUpdates) {
 
   OutOfCoreConfig config;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 19;
+  config.streaming_budget_bytes = 1 << 19;
   config.io_unit_bytes = 32 << 10;
   config.allow_update_memory_opt = false;  // force traffic onto updates_dev
   OutOfCoreEngine<WccAlgorithm> engine(config, edges_dev, updates_dev, edges_dev, "input",
@@ -93,7 +93,7 @@ TEST(PosixEngineTest, PageRankOnRealFiles) {
 
   OutOfCoreConfig config;
   config.threads = 2;
-  config.memory_budget_bytes = 1 << 20;
+  config.streaming_budget_bytes = 1 << 20;
   config.io_unit_bytes = 64 << 10;
   OutOfCoreEngine<PageRankAlgorithm> engine(config, dev, dev, dev, "input", info);
   PageRankResult r = RunPageRank(engine, 5);

@@ -67,7 +67,7 @@ TEST_P(FamilySweep, WccMatchesReferenceOnBothEngines) {
   WriteEdgeFile(dev, "input", edges);
   OutOfCoreConfig oc;
   oc.threads = 2;
-  oc.memory_budget_bytes = 1 << 19;
+  oc.streaming_budget_bytes = 1 << 19;
   oc.io_unit_bytes = 8 << 10;
   OutOfCoreEngine<WccAlgorithm> ooc(oc, dev, dev, dev, "input", info);
   EXPECT_EQ(RunWcc(ooc).labels, expected);
@@ -136,7 +136,7 @@ TEST_P(OocConfigSweep, WccCorrectUnderAllConfigs) {
   WriteEdgeFile(dev, "input", edges);
   OutOfCoreConfig config;
   config.threads = c.threads;
-  config.memory_budget_bytes = c.budget;
+  config.streaming_budget_bytes = c.budget;
   config.io_unit_bytes = 8 << 10;
   config.num_partitions = c.partitions;
   config.allow_vertex_memory_opt = c.mem_opts;

@@ -27,6 +27,7 @@
 #include "scheduler/scheduler.h"
 #include "storage/sim_device.h"
 #include "util/env.h"
+#include "util/options.h"
 
 namespace xstream {
 namespace {
@@ -60,21 +61,30 @@ struct DeviceHarness {
     source = std::make_unique<DeviceScanSource>(pool, layout, sopts, edge_dev, "input");
   }
 
-  DeviceJobConfig SpillHeavyConfig() const {
-    DeviceJobConfig cfg;
+  HybridStoreOptions SpillHeavyConfig() const {
+    HybridStoreOptions cfg;
     cfg.io_unit_bytes = 16 * 1024;
-    // Tiny budget + disabled memory optimizations: vertex files, update
-    // spills and multi-chunk gathers all get exercised.
+    // Disabled memory optimizations: vertex files, update spills and
+    // multi-chunk gathers all get exercised.
     cfg.allow_vertex_memory_opt = false;
     cfg.allow_update_memory_opt = false;
     return cfg;
   }
 
+  // A job over the shared source whose files live under `prefix`.
+  std::unique_ptr<ScheduledJob> Make(const std::string& spec, HybridStoreOptions cfg,
+                                     const std::string& prefix, std::shared_ptr<JobOutput> out,
+                                     bool hybrid = false) {
+    cfg.file_prefix = prefix;
+    return MakeDeviceJob(ParseJobSpec(spec), *source, update_dev, vertex_dev, cfg, hybrid,
+                         std::move(out));
+  }
+
   std::shared_ptr<JobOutput> Submit(JobScheduler& sched, const std::string& spec,
-                                    const DeviceJobConfig& cfg, std::vector<JobId>* ids) {
+                                    const HybridStoreOptions& cfg, std::vector<JobId>* ids,
+                                    bool hybrid = false) {
     auto out = std::make_shared<JobOutput>();
-    JobId id = sched.Submit(MakeDeviceJob(ParseJobSpec(spec), *source, update_dev, vertex_dev,
-                                          cfg, "job" + std::to_string(next_prefix_++), out));
+    JobId id = sched.Submit(Make(spec, cfg, "job" + std::to_string(next_prefix_++), out, hybrid));
     if (ids != nullptr) {
       ids->push_back(id);
     }
@@ -264,15 +274,13 @@ TEST(SchedulerTest, BudgetResplitsAsHybridJobsComeAndGo) {
   DeviceHarness h(edges);
   ReferenceGraph g(edges, h.info.num_vertices);
 
-  DeviceJobConfig cfg = h.SpillHeavyConfig();
-  cfg.hybrid = true;
+  HybridStoreOptions cfg = h.SpillHeavyConfig();
 
   // Probe one job's fixed footprint so the budget leaves a meaningful pin
   // pool for two concurrent jobs.
   uint64_t fixed = 0;
   {
-    auto probe = MakeDeviceJob(ParseJobSpec("wcc"), *h.source, h.update_dev, h.vertex_dev,
-                               cfg, "probe", nullptr);
+    auto probe = h.Make("wcc", cfg, "probe", nullptr, /*hybrid=*/true);
     fixed = probe->FixedBytes();
   }
   SchedulerOptions opts;
@@ -280,8 +288,8 @@ TEST(SchedulerTest, BudgetResplitsAsHybridJobsComeAndGo) {
 
   JobScheduler sched(*h.source, opts);
   std::vector<JobId> ids;
-  auto pagerank = h.Submit(sched, "pagerank:iters=8", cfg, &ids);
-  auto bfs = h.Submit(sched, "bfs:src=0", cfg, &ids);
+  auto pagerank = h.Submit(sched, "pagerank:iters=8", cfg, &ids, /*hybrid=*/true);
+  auto bfs = h.Submit(sched, "bfs:src=0", cfg, &ids, /*hybrid=*/true);
   sched.RunAll();
 
   EXPECT_EQ(sched.Poll(ids[0]), JobState::kDone);
@@ -335,15 +343,11 @@ TEST(SchedulerTest, RandomizedSubmitCancelStressAgainstOracles) {
       VertexId root = static_cast<VertexId>(rng() % 4);
       std::string spec = is_wcc ? "wcc" : ("bfs:src=" + std::to_string(root));
       auto out = std::make_shared<JobOutput>();
-      DeviceJobConfig cfg = h.SpillHeavyConfig();
       JobId id;
       {
         std::lock_guard<std::mutex> lk(submitted_mu);
-        id = sched.Submit(MakeDeviceJob(ParseJobSpec(spec), *h.source, h.update_dev,
-                                        h.vertex_dev, cfg,
-                                        "stress" + std::to_string(seed) + "-" +
-                                            std::to_string(i),
-                                        out));
+        id = sched.Submit(h.Make(spec, h.SpillHeavyConfig(),
+                                 "stress" + std::to_string(seed) + "-" + std::to_string(i), out));
         submitted.push_back(Submitted{id, is_wcc, root, out, false});
       }
       std::this_thread::sleep_for(std::chrono::microseconds(rng() % 2000));
@@ -570,11 +574,10 @@ TEST(SchedulerFairShareTest, MaxQueuedQuotaRejectsAtSubmitAndRecovers) {
 TEST(SchedulerFairShareTest, MemoryShareQuotaBoundsPerJobFootprint) {
   EdgeList edges = TestGraph(37);
   DeviceHarness h(edges);
-  DeviceJobConfig cfg = h.SpillHeavyConfig();
+  HybridStoreOptions cfg = h.SpillHeavyConfig();
   uint64_t fixed = 0;
   {
-    auto probe = MakeDeviceJob(ParseJobSpec("wcc"), *h.source, h.update_dev, h.vertex_dev,
-                               cfg, "probe", nullptr);
+    auto probe = h.Make("wcc", cfg, "probe", nullptr);
     fixed = probe->FixedBytes();
   }
   SchedulerOptions opts;
@@ -585,24 +588,53 @@ TEST(SchedulerFairShareTest, MemoryShareQuotaBoundsPerJobFootprint) {
 
   JobScheduler sched(*h.source, opts);
   auto out = std::make_shared<JobOutput>();
-  SubmitOutcome rejected = sched.TrySubmit(
-      MakeDeviceJob(ParseJobSpec("wcc"), *h.source, h.update_dev, h.vertex_dev, cfg,
-                    "small0", out),
-      "small");
+  SubmitOutcome rejected = sched.TrySubmit(h.Make("wcc", cfg, "small0", out), "small");
   EXPECT_FALSE(rejected.accepted);
   EXPECT_NE(rejected.reason.find("memory share"), std::string::npos) << rejected.reason;
 
   // An unconstrained tenant submits the same job shape successfully.
   auto ok_out = std::make_shared<JobOutput>();
-  SubmitOutcome ok = sched.TrySubmit(
-      MakeDeviceJob(ParseJobSpec("wcc"), *h.source, h.update_dev, h.vertex_dev, cfg,
-                    "roomy0", ok_out),
-      "roomy");
+  SubmitOutcome ok = sched.TrySubmit(h.Make("wcc", cfg, "roomy0", ok_out), "roomy");
   ASSERT_TRUE(ok.accepted) << ok.reason;
   sched.RunAll();
   EXPECT_EQ(sched.Poll(ok.id), JobState::kDone);
   ExpectWccMatches(*ok_out, edges, h.info.num_vertices);
   EXPECT_EQ(sched.stats().jobs_rejected, 1u);
+}
+
+// `--jobs --engine=hybrid --no-replan` used to drop --no-replan on the floor:
+// the job config had no replan field. The flag now travels through
+// DeviceOptionsFromFlags into every hybrid job store, so a frozen pin set
+// migrates nothing while the default re-plan migrates pins as BFS's
+// frontier moves.
+TEST(SchedulerTest, NoReplanFlagReachesHybridJobStores) {
+  EdgeList edges = TestGraph(43, /*scale=*/10);
+  DeviceHarness h(edges, /*partitions=*/8);
+  ReferenceGraph g(edges, h.info.num_vertices);
+
+  auto run_bfs = [&](bool no_replan) {
+    Options flags;
+    if (no_replan) {
+      flags.Set("no-replan", "1");
+    }
+    HybridStoreOptions cfg = DeviceOptionsFromFlags(flags, h.SpillHeavyConfig());
+    EXPECT_EQ(cfg.replan_between_iterations, !no_replan);
+    // Roughly half of every partition's vertex states plus worst-case
+    // update buffers; no scheduler budget, so the job keeps this one.
+    cfg.memory_budget_bytes =
+        (h.info.num_vertices * sizeof(BfsAlgorithm::VertexState) +
+         h.info.num_edges * sizeof(BfsAlgorithm::Update)) / 2;
+    JobScheduler sched(*h.source);
+    auto out = h.Submit(sched, "bfs:src=0", cfg, nullptr, /*hybrid=*/true);
+    sched.RunAll();
+    ExpectBfsMatches(*out, g, 0);
+    return out->stats;
+  };
+  RunStats frozen = run_bfs(/*no_replan=*/true);
+  RunStats replanned = run_bfs(/*no_replan=*/false);
+  EXPECT_GT(frozen.resident_partition_count, 0u);
+  EXPECT_EQ(frozen.promotions + frozen.evictions, 0u);
+  EXPECT_GT(replanned.promotions + replanned.evictions, 0u);
 }
 
 TEST(SchedulerTest, JobSpecParsing) {

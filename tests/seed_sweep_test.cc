@@ -46,7 +46,7 @@ TEST_P(SeedSweep, WccBothEnginesMatchUnionFind) {
   WriteEdgeFile(dev, "input", edges);
   OutOfCoreConfig oc;
   oc.threads = 2;
-  oc.memory_budget_bytes = 1 << 19;
+  oc.streaming_budget_bytes = 1 << 19;
   oc.io_unit_bytes = 8 << 10;
   OutOfCoreEngine<WccAlgorithm> b(oc, dev, dev, dev, "input", info);
   EXPECT_EQ(RunWcc(b).labels, expected);

@@ -3,6 +3,8 @@
 
 #include "core/partition.h"
 #include "core/sizing.h"
+#include "util/env.h"
+#include "util/options.h"
 
 namespace xstream {
 namespace {
@@ -146,6 +148,81 @@ TEST(PartitionLayoutTest, SinglePartitionTakesAll) {
   EXPECT_EQ(layout.Begin(0), 0u);
   EXPECT_EQ(layout.End(0), 12345u);
   EXPECT_EQ(layout.PartitionOf(12344), 0u);
+}
+
+TEST(DeviceOptionsTest, NoFlagsKeepTheBinarysDefaults) {
+  HybridStoreOptions defaults;
+  defaults.streaming_budget_bytes = 256ull << 20;
+  defaults.stage_bytes = 12345;
+  defaults.memory_budget_bytes = HybridStoreOptions::kAutoMemoryBudget;
+  HybridStoreOptions got = DeviceOptionsFromFlags(Options(), defaults);
+  EXPECT_EQ(got.streaming_budget_bytes, 256ull << 20);
+  EXPECT_EQ(got.io_unit_bytes, defaults.io_unit_bytes);
+  EXPECT_EQ(got.async_spill, defaults.async_spill);
+  EXPECT_EQ(got.spill_queue_depth, defaults.spill_queue_depth);
+  EXPECT_EQ(got.stage_bytes, 12345u);
+  EXPECT_EQ(got.compress_updates, defaults.compress_updates);
+  EXPECT_EQ(got.memory_budget_bytes, HybridStoreOptions::kAutoMemoryBudget);
+  EXPECT_EQ(got.replan_between_iterations, defaults.replan_between_iterations);
+  EXPECT_EQ(got.residency_hysteresis, defaults.residency_hysteresis);
+  EXPECT_EQ(got.pin_edges, defaults.pin_edges);
+  EXPECT_EQ(got.file_prefix, defaults.file_prefix);
+}
+
+TEST(DeviceOptionsTest, EveryDeviceFlagReachesItsField) {
+  Options flags;
+  flags.Set("budget-mb", "8");
+  flags.Set("io-unit-kb", "16");
+  flags.Set("sync-spill", "1");
+  flags.Set("spill-depth", "4");
+  flags.Set("stage-bytes", "0");
+  flags.Set("compress-updates", "1");
+  flags.Set("memory-budget", "4096");
+  flags.Set("no-replan", "1");
+  flags.Set("residency-hysteresis", "0");
+  flags.Set("pin-edges", "1");
+  HybridStoreOptions defaults;
+  defaults.stage_bytes = 1 << 20;
+  HybridStoreOptions got = DeviceOptionsFromFlags(flags, defaults);
+  EXPECT_EQ(got.streaming_budget_bytes, 8ull << 20);
+  EXPECT_EQ(got.io_unit_bytes, 16u << 10);
+  EXPECT_FALSE(got.async_spill);
+  EXPECT_EQ(got.spill_queue_depth, 4);
+  EXPECT_EQ(got.stage_bytes, 0u);
+  EXPECT_TRUE(got.compress_updates);
+  EXPECT_EQ(got.memory_budget_bytes, 4096u);
+  EXPECT_FALSE(got.replan_between_iterations);
+  EXPECT_EQ(got.residency_hysteresis, 0u);
+  EXPECT_TRUE(got.pin_edges);
+}
+
+TEST(DeviceOptionsTest, UsageListsEveryParsedFlagWithItsDefaults) {
+  HybridStoreOptions defaults;
+  defaults.streaming_budget_bytes = 256ull << 20;
+  defaults.memory_budget_bytes = HybridStoreOptions::kAutoMemoryBudget;
+  std::string usage = DeviceFlagsUsage(defaults);
+  for (const char* flag : {"--budget-mb=", "--io-unit-kb=", "--sync-spill", "--spill-depth=",
+                           "--stage-bytes=", "--compress-updates", "--memory-budget=",
+                           "--no-replan", "--residency-hysteresis=", "--pin-edges"}) {
+    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  }
+  EXPECT_NE(usage.find("(default 256)"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("(default: half of physical memory)"), std::string::npos) << usage;
+  defaults.memory_budget_bytes = 0;
+  defaults.stage_bytes = 0;
+  usage = DeviceFlagsUsage(defaults);
+  EXPECT_NE(usage.find("(default: 0); 0 pins"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("shuffle (default: 0)"), std::string::npos) << usage;
+}
+
+TEST(DeviceOptionsTest, PinBudgetResolution) {
+  EXPECT_EQ(ResolvePinBudget(0), 0u);
+  EXPECT_EQ(ResolvePinBudget(HybridStoreOptions::kAutoMemoryBudget), ResolveMemoryBudget(0));
+  EXPECT_EQ(ResolvePinBudget(1 << 20), uint64_t{1} << 20);
+  uint64_t physical = PhysicalMemoryBytes();
+  if (physical > 0) {
+    EXPECT_EQ(ResolvePinBudget(physical + 1), physical);
+  }
 }
 
 }  // namespace

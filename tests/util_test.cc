@@ -124,6 +124,69 @@ TEST(OptionsTest, TypedAccessors) {
   EXPECT_FALSE(opts.Has("y"));
 }
 
+TEST(OptionsTest, NumericGettersAbortOnMalformedValuesNamingTheFlag) {
+  Options opts;
+  opts.Set("budget-mb", "64MB");
+  EXPECT_DEATH(opts.GetUint("budget-mb", 0), "--budget-mb: '64MB'");
+  opts.Set("budget-mb", "abc");
+  EXPECT_DEATH(opts.GetUint("budget-mb", 0), "--budget-mb: 'abc'");
+  opts.Set("budget-mb", "-1");  // strtoull would wrap this to 2^64 - 1
+  EXPECT_DEATH(opts.GetUint("budget-mb", 0), "--budget-mb: '-1'");
+  opts.Set("budget-mb", "");
+  EXPECT_DEATH(opts.GetUint("budget-mb", 0), "--budget-mb");
+  opts.Set("spill-depth", "2x");
+  EXPECT_DEATH(opts.GetInt("spill-depth", 0), "--spill-depth: '2x'");
+  opts.Set("spill-depth", "");
+  EXPECT_DEATH(opts.GetInt("spill-depth", 0), "--spill-depth");
+  opts.Set("trace-sample", "0.5.1");
+  EXPECT_DEATH(opts.GetDouble("trace-sample", 1.0), "--trace-sample: '0.5.1'");
+  opts.Set("trace-sample", "");
+  EXPECT_DEATH(opts.GetDouble("trace-sample", 1.0), "--trace-sample");
+}
+
+TEST(OptionsTest, NumericGettersAcceptWholeNumbers) {
+  Options opts;
+  opts.Set("u", "010");  // decimal, not octal
+  opts.Set("i", "-3");
+  opts.Set("d", "1e-3");
+  opts.Set("flag", "1");  // what a bare --flag parses to
+  EXPECT_EQ(opts.GetUint("u", 0), 10u);
+  EXPECT_EQ(opts.GetInt("i", 0), -3);
+  EXPECT_DOUBLE_EQ(opts.GetDouble("d", 0.0), 1e-3);
+  EXPECT_EQ(opts.GetUint("flag", 0), 1u);
+}
+
+constexpr char kTestUsage[] = R"(prog — test usage
+  --algorithm=wcc|bfs       (required)
+  --budget-mb=N --io-unit-kb=N    sizing
+    --no-replan             freeze the plan
+)";
+
+TEST(OptionsTest, FlagsNamedByTheUsageTextAreAccepted) {
+  const char* argv[] = {"prog", "--algorithm=wcc", "--budget-mb=64", "--io-unit-kb=16",
+                        "--no-replan"};
+  Options opts(5, const_cast<char**>(argv));
+  opts.ExitOnUnknownFlags(kTestUsage);  // returns: every flag is listed
+  EXPECT_EQ(opts.GetUint("budget-mb", 0), 64u);
+}
+
+TEST(OptionsTest, UnknownFlagsExitWithStatus2) {
+  const char* mistyped[] = {"prog", "--algorithm=wcc", "--budget=64"};
+  Options typo(3, const_cast<char**>(mistyped));
+  EXPECT_EXIT(typo.ExitOnUnknownFlags(kTestUsage), ::testing::ExitedWithCode(2),
+              "unknown flag --budget\n");
+  // A retired flag fails the same way once its usage line is gone.
+  const char* retired[] = {"prog", "--residency-decay=0.5"};
+  Options old(2, const_cast<char**>(retired));
+  EXPECT_EXIT(old.ExitOnUnknownFlags(kTestUsage), ::testing::ExitedWithCode(2),
+              "unknown flag --residency-decay");
+  // A prefix of a known flag is not that flag.
+  const char* prefix[] = {"prog", "--no"};
+  Options partial(2, const_cast<char**>(prefix));
+  EXPECT_EXIT(partial.ExitOnUnknownFlags(kTestUsage), ::testing::ExitedWithCode(2),
+              "unknown flag --no\n");
+}
+
 TEST(RunningStatTest, MeanAndStdDev) {
   RunningStat s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
